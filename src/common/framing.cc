@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
+#include "common/byte_codec.h"
 #include "common/checksum.h"
 #include "common/errors.h"
 #include "common/string_util.h"
@@ -16,11 +18,11 @@ constexpr char kEnd[] = "END";
 
 }  // namespace
 
-void SectionWriter::Add(const std::string& name, const std::string& payload) {
+void SectionWriter::Add(const std::string& name, std::string payload) {
   if (name.empty() || name.find_first_of(" \n") != std::string::npos) {
     throw std::invalid_argument("SectionWriter: bad section name '" + name + "'");
   }
-  sections_.emplace_back(name, payload);
+  sections_.emplace_back(name, std::move(payload));
 }
 
 std::string SectionWriter::Finish() const {
@@ -122,27 +124,6 @@ namespace {
 
 constexpr char kWireMagic[4] = {'N', 'T', 'J', 'W'};
 
-void PutLe16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void PutLe32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-uint16_t GetLe16(const unsigned char* p) {
-  return static_cast<uint16_t>(static_cast<uint16_t>(p[0]) |
-                               static_cast<uint16_t>(p[1]) << 8);
-}
-
-uint32_t GetLe32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
 }  // namespace
 
 const char* FrameStatusName(FrameStatus s) {
@@ -165,35 +146,40 @@ std::string EncodeWireFrame(uint16_t type, const std::string& payload,
                             " bytes exceeds the frame limit of " +
                             std::to_string(max_payload));
   }
-  std::string out;
-  out.reserve(kWireHeaderSize + payload.size());
-  out.append(kWireMagic, sizeof(kWireMagic));
-  PutLe16(&out, kWireVersion);
-  PutLe16(&out, type);
-  PutLe32(&out, static_cast<uint32_t>(payload.size()));
-  PutLe32(&out, Crc32(payload));
-  out += payload;
-  return out;
+  ByteWriter w;
+  w.Reserve(kWireHeaderSize + payload.size());
+  w.Bytes({kWireMagic, sizeof(kWireMagic)});
+  w.U16(kWireVersion);
+  w.U16(type);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U32(Crc32(payload));
+  w.Bytes(payload);
+  return w.Take();
 }
 
 FrameStatus DecodeWireFrame(const std::string& buffer, size_t* offset,
                             WireFrame* out, size_t max_payload) {
   const size_t avail = buffer.size() - *offset;
-  const auto* p =
-      reinterpret_cast<const unsigned char*>(buffer.data()) + *offset;
   // Reject a wrong magic as soon as the divergent byte is visible — a
   // stream that is not speaking this protocol should fail fast, not hang
   // waiting for a full header that will never parse.
   for (size_t i = 0; i < std::min(avail, sizeof(kWireMagic)); ++i) {
-    if (static_cast<char>(p[i]) != kWireMagic[i]) return FrameStatus::kBadMagic;
+    if (buffer[*offset + i] != kWireMagic[i]) return FrameStatus::kBadMagic;
   }
   if (avail < kWireHeaderSize) return FrameStatus::kIncomplete;
 
-  const uint16_t version = GetLe16(p + 4);
+  // The header is complete, so none of these reads can fail.
+  ByteReader header(std::string_view(buffer).substr(
+      *offset + sizeof(kWireMagic), kWireHeaderSize - sizeof(kWireMagic)));
+  uint16_t version = 0;
+  uint16_t type = 0;
+  uint32_t size = 0;
+  uint32_t stored_crc = 0;
+  header.U16(&version);
+  header.U16(&type);
+  header.U32(&size);
+  header.U32(&stored_crc);
   if (version != kWireVersion) return FrameStatus::kBadVersion;
-  const uint16_t type = GetLe16(p + 6);
-  const uint32_t size = GetLe32(p + 8);
-  const uint32_t stored_crc = GetLe32(p + 12);
   // Checked against the limit before requiring the payload bytes, so an
   // absurd declared size is an immediate error, not an endless read.
   if (size > max_payload) return FrameStatus::kOversized;

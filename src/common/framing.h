@@ -13,8 +13,11 @@
 //      ... more sections ...
 //      END\n
 //
-//    Payloads are opaque byte strings (in practice, the text encodings the
-//    callers already use). Every section is CRC32-verified at parse time.
+//    Payloads are opaque byte strings, text or binary: sizes are explicit,
+//    so a payload may hold newlines and any other byte. Model files and
+//    checkpoints store text; corpus snapshots (core/embedding_db.h) store
+//    raw little-endian doubles. Every section is CRC32-verified at parse
+//    time.
 //
 // 2. Binary wire frames (EncodeWireFrame/DecodeWireFrame), the unit of
 //    exchange on the serving sockets (src/serve/). A frame is a fixed
@@ -52,7 +55,7 @@ class SectionWriter {
   explicit SectionWriter(std::string kind) : kind_(std::move(kind)) {}
 
   /// Appends one section. Names must be non-empty and space-free.
-  void Add(const std::string& name, const std::string& payload);
+  void Add(const std::string& name, std::string payload);
 
   /// Full file contents (header + sections + END marker).
   std::string Finish() const;

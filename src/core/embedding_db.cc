@@ -1,19 +1,40 @@
 #include "core/embedding_db.h"
 
+#include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/errors.h"
 #include "common/file_util.h"
 #include "common/framing.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 
 namespace neutraj {
 
 namespace {
 
 constexpr char kDbKind[] = "embdb";
+// Third token of the shape section for the binary embeddings encoding.
+constexpr char kBinaryCodec[] = "le64";
+
+// A decimal size_t with no sign, space or overflow.
+bool ParseSize(const std::string& s, size_t* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+// a * b, or false if it overflows size_t.
+bool CheckedMul(size_t a, size_t b, size_t* out) {
+  if (b != 0 && a > std::numeric_limits<size_t>::max() / b) return false;
+  *out = a * b;
+  return true;
+}
 
 }  // namespace
 
@@ -174,20 +195,14 @@ SearchResult EmbeddingDatabase::TopKOf(const nn::Vector& query,
 std::string EmbeddingDatabase::Serialize() const {
   ReaderLock lock(mu_);
   SectionWriter w(kDbKind);
-  std::ostringstream head;
-  head << embeddings_.size() << ' ' << dim_;
-  w.Add("shape", head.str());
-
-  std::ostringstream data;
-  data.precision(17);
+  w.Add("shape", std::to_string(embeddings_.size()) + ' ' +
+                     std::to_string(dim_) + ' ' + kBinaryCodec);
+  ByteWriter data;
+  data.Reserve(embeddings_.size() * dim_ * sizeof(double));
   for (const nn::Vector& e : embeddings_) {
-    for (size_t k = 0; k < e.size(); ++k) {
-      if (k > 0) data << ' ';
-      data << e[k];
-    }
-    data << '\n';
+    for (const double v : e) data.F64(v);
   }
-  w.Add("embeddings", data.str());
+  w.Add("embeddings", data.Take());
   return w.Finish();
 }
 
@@ -199,27 +214,53 @@ EmbeddingDatabase EmbeddingDatabase::Deserialize(const std::string& contents,
                                                  const std::string& source) {
   const SectionReader r(contents, kDbKind, source);
 
-  std::istringstream head(r.Get("shape"));
-  size_t count = 0, dim = 0;
-  if (!(head >> count >> dim) || (count > 0 && dim == 0)) {
-    throw CorruptionError(source, "shape", 0,
-                          "bad shape '" + r.Get("shape") + "'");
+  // "<count> <dim> le64" is the binary codec; "<count> <dim>" a legacy text
+  // snapshot, still read so existing data dirs recover.
+  const std::string& shape = r.Get("shape");
+  const std::vector<std::string> tokens = Split(shape, ' ');
+  const bool binary = tokens.size() == 3 && tokens[2] == kBinaryCodec;
+  size_t count = 0, dim = 0, values = 0;
+  if ((tokens.size() != 2 && !binary) || !ParseSize(tokens[0], &count) ||
+      !ParseSize(tokens[1], &dim) || (count > 0 && dim == 0) ||
+      !CheckedMul(count, dim, &values)) {
+    throw CorruptionError(source, "shape", 0, "bad shape '" + shape + "'");
+  }
+
+  // The shape is checked against the payload before anything is sized from
+  // it, so a hostile count is a CorruptionError, not a huge allocation.
+  const std::string& payload = r.Get("embeddings");
+  size_t bytes = 0;
+  const bool fits = binary ? CheckedMul(values, sizeof(double), &bytes) &&
+                                 bytes == payload.size()
+                           : values <= payload.size();
+  if (!fits) {
+    throw CorruptionError(source, "embeddings", payload.size(),
+                          "shape " + shape + " does not fit a payload of " +
+                              std::to_string(payload.size()) + " bytes");
   }
 
   // Same shape as Build: parse into locals, publish under the writer lock.
   std::vector<nn::Vector> embeddings(count, nn::Vector(dim));
-  std::istringstream data(r.Get("embeddings"));
-  for (size_t i = 0; i < embeddings.size(); ++i) {
-    nn::Vector& e = embeddings[i];
-    for (double& v : e) {
-      if (!(data >> v)) {
-        throw CorruptionError(source, "embeddings", i,
-                              "truncated values (at embedding " +
-                                  std::to_string(i) + " of " +
-                                  std::to_string(count) + ")");
-      }
+  if (binary) {
+    ByteReader data(payload);
+    for (nn::Vector& e : embeddings) {
+      for (double& v : e) data.F64(&v);
+      NEUTRAJ_DCHECK_FINITE(e);
     }
-    NEUTRAJ_DCHECK_FINITE(e);
+  } else {
+    std::istringstream data(payload);
+    for (size_t i = 0; i < embeddings.size(); ++i) {
+      nn::Vector& e = embeddings[i];
+      for (double& v : e) {
+        if (!(data >> v)) {
+          throw CorruptionError(source, "embeddings", i,
+                                "truncated values (at embedding " +
+                                    std::to_string(i) + " of " +
+                                    std::to_string(count) + ")");
+        }
+      }
+      NEUTRAJ_DCHECK_FINITE(e);
+    }
   }
   EmbeddingDatabase db;
   {

@@ -8,6 +8,17 @@
 // O(N * L * d^2) encoding cost is paid once per corpus, not once per
 // process.
 //
+// On-disk format (Save/Load, Serialize/Deserialize): the common/framing.h
+// section container, kind "embdb", with two sections. "shape" holds
+// "<count> <dim> le64"; "embeddings" holds count*dim*8 bytes, row-major,
+// each value the little-endian IEEE-754 bit pattern of a double
+// (common/byte_codec.h, the encoding WAL records use), so a load is
+// bit-identical to what was saved. Writing is always binary. A two-token
+// shape is a legacy text snapshot (17-digit values) and is still read.
+// The shape is checked against the payload size before anything is
+// allocated. There is no downgrade: a binary that predates the codec fails
+// to parse the raw doubles as text and throws CorruptionError.
+//
 // Concurrency: TopK/Save/size take a shared (reader) lock and Insert takes
 // an exclusive (writer) lock, so a live serving corpus (src/serve/) can
 // answer queries while trajectories stream in. The unlocked accessors
@@ -115,9 +126,10 @@ class EmbeddingDatabase {
   /// writes through its own checked, fault-injectable I/O path.
   std::string Serialize() const NEUTRAJ_EXCLUDES(mu_);
 
-  /// Restores a database saved by Save(). Throws CorruptionError
-  /// (common/errors.h, with section/offset context) on malformed,
-  /// truncated, or bit-flipped files.
+  /// Restores a database saved by Save(), in either codec. Throws
+  /// CorruptionError (common/errors.h, with section/offset context) on
+  /// malformed, truncated, or bit-flipped files, and on a shape that does
+  /// not match the payload.
   static EmbeddingDatabase Load(const std::string& path);
 
   /// Load() over in-memory container bytes; `source` names the artifact in

@@ -1,138 +1,51 @@
 #include "serve/protocol.h"
 
-#include <bit>
+#include <utility>
+#include <vector>
+
+#include "common/byte_codec.h"
 
 namespace neutraj::serve {
 
 namespace {
 
-// -- Little-endian payload writer/reader ------------------------------------
-// The reader is fully bounds-checked and sticky-failing: after the first
-// short read every further Get returns false, so parse functions can chain
-// reads and test ok() once. Element counts are validated against the bytes
-// actually remaining before any container is sized, so a hostile count
-// cannot trigger a huge allocation.
+// -- Trajectories and embeddings --------------------------------------------
+// Both are a u32 count followed by the doubles (x, y per point). The count
+// is checked against the bytes present before anything is sized.
 
-class PayloadWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int s = 0; s < 32; s += 8) buf_.push_back(static_cast<char>((v >> s) & 0xff));
+void PutTraj(ByteWriter& w, const Trajectory& t) {
+  w.U32(static_cast<uint32_t>(t.size()));
+  for (const Point& p : t) {
+    w.F64(p.x);
+    w.F64(p.y);
   }
-  void U64(uint64_t v) {
-    for (int s = 0; s < 64; s += 8) buf_.push_back(static_cast<char>((v >> s) & 0xff));
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    buf_ += s;
-  }
-  void Traj(const Trajectory& t) {
-    U32(static_cast<uint32_t>(t.size()));
-    for (const Point& p : t) {
-      F64(p.x);
-      F64(p.y);
-    }
-  }
-  void Vec(const nn::Vector& v) {
-    U32(static_cast<uint32_t>(v.size()));
-    for (double x : v) F64(x);
-  }
+}
 
-  std::string Take() { return std::move(buf_); }
+bool GetTraj(ByteReader& r, Trajectory* t) {
+  uint32_t n = 0;
+  if (!r.U32(&n) || !r.Need(static_cast<size_t>(n) * 16)) return false;
+  std::vector<Point> pts(n);
+  for (Point& p : pts) {
+    if (!r.F64(&p.x) || !r.F64(&p.y)) return false;
+  }
+  *t = Trajectory(std::move(pts));
+  return true;
+}
 
- private:
-  std::string buf_;
-};
+void PutVec(ByteWriter& w, const nn::Vector& v) {
+  w.U32(static_cast<uint32_t>(v.size()));
+  for (double x : v) w.F64(x);
+}
 
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& in) : in_(in) {}
-
-  bool U8(uint8_t* v) {
-    if (!Need(1)) return false;
-    *v = static_cast<uint8_t>(in_[pos_++]);
-    return true;
+bool GetVec(ByteReader& r, nn::Vector* v) {
+  uint32_t n = 0;
+  if (!r.U32(&n) || !r.Need(static_cast<size_t>(n) * 8)) return false;
+  v->resize(n);
+  for (double& x : *v) {
+    if (!r.F64(&x)) return false;
   }
-  bool U32(uint32_t* v) {
-    if (!Need(4)) return false;
-    uint32_t out = 0;
-    for (int s = 0; s < 32; s += 8) {
-      out |= static_cast<uint32_t>(static_cast<unsigned char>(in_[pos_++])) << s;
-    }
-    *v = out;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (!Need(8)) return false;
-    uint64_t out = 0;
-    for (int s = 0; s < 64; s += 8) {
-      out |= static_cast<uint64_t>(static_cast<unsigned char>(in_[pos_++])) << s;
-    }
-    *v = out;
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u = 0;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t u = 0;
-    if (!U64(&u)) return false;
-    *v = std::bit_cast<double>(u);
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint32_t n = 0;
-    if (!U32(&n) || !Need(n)) return false;
-    s->assign(in_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool Traj(Trajectory* t) {
-    uint32_t n = 0;
-    if (!U32(&n) || !Need(static_cast<size_t>(n) * 16)) return false;
-    std::vector<Point> pts(n);
-    for (Point& p : pts) {
-      if (!F64(&p.x) || !F64(&p.y)) return false;
-    }
-    *t = Trajectory(std::move(pts));
-    return true;
-  }
-  bool Vec(nn::Vector* v) {
-    uint32_t n = 0;
-    if (!U32(&n) || !Need(static_cast<size_t>(n) * 8)) return false;
-    v->resize(n);
-    for (double& x : *v) {
-      if (!F64(&x)) return false;
-    }
-    return true;
-  }
-
-  /// True iff every read succeeded and the payload had no trailing bytes.
-  bool Done() const { return ok_ && pos_ == in_.size(); }
-
-  /// Bytes not yet consumed; 0 once a read has failed (sticky-fail). Lets
-  /// parsers with MULTIPLE optional trailing sections (TopK: nprobe then
-  /// trace) pick the layout by length before committing to reads.
-  size_t Remaining() const { return ok_ ? in_.size() - pos_ : 0; }
-
- private:
-  bool Need(size_t n) {
-    if (!ok_ || in_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  const std::string& in_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
+  return true;
+}
 
 // -- Optional trailing trace section ----------------------------------------
 // 9 bytes: u64 trace id + u8 flags (bit 0 = sampled). Written only when the
@@ -142,12 +55,12 @@ class PayloadReader {
 // an encoder bug, not "no trace"), and unknown flag bits are rejected so a
 // future flag cannot be silently dropped by an old server.
 
-void WriteTrace(PayloadWriter& w, const obs::TraceContext& t) {
+void WriteTrace(ByteWriter& w, const obs::TraceContext& t) {
   w.U64(t.trace_id);
   w.U8(t.sampled ? 1 : 0);
 }
 
-bool ParseTrailingTrace(PayloadReader& r, obs::TraceContext* out) {
+bool ParseTrailingTrace(ByteReader& r, obs::TraceContext* out) {
   uint64_t id = 0;
   uint8_t flags = 0;
   if (!r.U64(&id) || !r.U8(&flags) || !r.Done()) return false;
@@ -173,14 +86,14 @@ const char* ErrorCodeName(ErrorCode c) {
 }
 
 std::string SerializeError(const ErrorReply& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.U32(static_cast<uint32_t>(m.code));
   w.Str(m.message);
   return w.Take();
 }
 
 bool ParseError(const std::string& in, ErrorReply* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   uint32_t code = 0;
   if (!r.U32(&code) || !r.Str(&out->message) || !r.Done()) return false;
   out->code = static_cast<ErrorCode>(code);
@@ -188,62 +101,62 @@ bool ParseError(const std::string& in, ErrorReply* out) {
 }
 
 std::string SerializeEncodeRequest(const EncodeRequest& m) {
-  PayloadWriter w;
-  w.Traj(m.traj);
+  ByteWriter w;
+  PutTraj(w, m.traj);
   if (m.trace.valid()) WriteTrace(w, m.trace);
   return w.Take();
 }
 
 bool ParseEncodeRequest(const std::string& in, EncodeRequest* out) {
-  PayloadReader r(in);
-  if (!r.Traj(&out->traj)) return false;
+  ByteReader r(in);
+  if (!GetTraj(r, &out->traj)) return false;
   out->trace = obs::TraceContext{};
   if (r.Done()) return true;  // Pre-tracing payload: valid, no context.
   return ParseTrailingTrace(r, &out->trace);
 }
 
 std::string SerializeEncodeResponse(const EncodeResponse& m) {
-  PayloadWriter w;
-  w.Vec(m.embedding);
+  ByteWriter w;
+  PutVec(w, m.embedding);
   return w.Take();
 }
 
 bool ParseEncodeResponse(const std::string& in, EncodeResponse* out) {
-  PayloadReader r(in);
-  return r.Vec(&out->embedding) && r.Done();
+  ByteReader r(in);
+  return GetVec(r, &out->embedding) && r.Done();
 }
 
 std::string SerializePairSimRequest(const PairSimRequest& m) {
-  PayloadWriter w;
-  w.Traj(m.a);
-  w.Traj(m.b);
+  ByteWriter w;
+  PutTraj(w, m.a);
+  PutTraj(w, m.b);
   if (m.trace.valid()) WriteTrace(w, m.trace);
   return w.Take();
 }
 
 bool ParsePairSimRequest(const std::string& in, PairSimRequest* out) {
-  PayloadReader r(in);
-  if (!r.Traj(&out->a) || !r.Traj(&out->b)) return false;
+  ByteReader r(in);
+  if (!GetTraj(r, &out->a) || !GetTraj(r, &out->b)) return false;
   out->trace = obs::TraceContext{};
   if (r.Done()) return true;  // Pre-tracing payload: valid, no context.
   return ParseTrailingTrace(r, &out->trace);
 }
 
 std::string SerializePairSimResponse(const PairSimResponse& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.F64(m.distance);
   w.F64(m.similarity);
   return w.Take();
 }
 
 bool ParsePairSimResponse(const std::string& in, PairSimResponse* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   return r.F64(&out->distance) && r.F64(&out->similarity) && r.Done();
 }
 
 std::string SerializeTopKRequest(const TopKRequest& m) {
-  PayloadWriter w;
-  w.Traj(m.query);
+  ByteWriter w;
+  PutTraj(w, m.query);
   w.U32(m.k);
   w.I64(m.exclude);
   // Optional trailing sections: nprobe (4 bytes), then trace (9 bytes).
@@ -257,8 +170,8 @@ std::string SerializeTopKRequest(const TopKRequest& m) {
 }
 
 bool ParseTopKRequest(const std::string& in, TopKRequest* out) {
-  PayloadReader r(in);
-  if (!r.Traj(&out->query) || !r.U32(&out->k) || !r.I64(&out->exclude)) {
+  ByteReader r(in);
+  if (!GetTraj(r, &out->query) || !r.U32(&out->k) || !r.I64(&out->exclude)) {
     return false;
   }
   out->nprobe = 0;
@@ -273,7 +186,7 @@ bool ParseTopKRequest(const std::string& in, TopKRequest* out) {
 }
 
 std::string SerializeTopKResponse(const TopKResponse& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.U32(static_cast<uint32_t>(m.ids.size()));
   for (size_t i = 0; i < m.ids.size(); ++i) {
     w.U64(m.ids[i]);
@@ -283,7 +196,7 @@ std::string SerializeTopKResponse(const TopKResponse& m) {
 }
 
 bool ParseTopKResponse(const std::string& in, TopKResponse* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   uint32_t n = 0;
   if (!r.U32(&n)) return false;
   out->ids.clear();
@@ -299,34 +212,34 @@ bool ParseTopKResponse(const std::string& in, TopKResponse* out) {
 }
 
 std::string SerializeInsertRequest(const InsertRequest& m) {
-  PayloadWriter w;
-  w.Traj(m.traj);
+  ByteWriter w;
+  PutTraj(w, m.traj);
   if (m.trace.valid()) WriteTrace(w, m.trace);
   return w.Take();
 }
 
 bool ParseInsertRequest(const std::string& in, InsertRequest* out) {
-  PayloadReader r(in);
-  if (!r.Traj(&out->traj)) return false;
+  ByteReader r(in);
+  if (!GetTraj(r, &out->traj)) return false;
   out->trace = obs::TraceContext{};
   if (r.Done()) return true;  // Pre-tracing payload: valid, no context.
   return ParseTrailingTrace(r, &out->trace);
 }
 
 std::string SerializeInsertResponse(const InsertResponse& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.U64(m.id);
   w.U64(m.corpus_size);
   return w.Take();
 }
 
 bool ParseInsertResponse(const std::string& in, InsertResponse* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   return r.U64(&out->id) && r.U64(&out->corpus_size) && r.Done();
 }
 
 std::string SerializeStatsResponse(const StatsResponse& m) {
-  PayloadWriter w;
+  ByteWriter w;
   const StatsSnapshot& s = m.stats;
   w.F64(s.uptime_seconds);
   w.U64(s.corpus_size);
@@ -360,7 +273,7 @@ std::string SerializeStatsResponse(const StatsResponse& m) {
 }
 
 bool ParseStatsResponse(const std::string& in, StatsResponse* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   StatsSnapshot& s = out->stats;
   uint32_t n = 0;
   if (!r.F64(&s.uptime_seconds) || !r.U64(&s.corpus_size) || !r.U32(&s.dim) ||
@@ -393,7 +306,7 @@ bool ParseStatsResponse(const std::string& in, StatsResponse* out) {
 }
 
 std::string SerializeHealthResponse(const HealthResponse& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.U8(m.ok ? 1 : 0);
   w.U64(m.corpus_size);
   w.U32(m.dim);
@@ -402,7 +315,7 @@ std::string SerializeHealthResponse(const HealthResponse& m) {
 }
 
 bool ParseHealthResponse(const std::string& in, HealthResponse* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   uint8_t ok = 0;
   if (!r.U8(&ok) || !r.U64(&out->corpus_size) || !r.U32(&out->dim) ||
       !r.Str(&out->status) || !r.Done()) {
@@ -413,18 +326,18 @@ bool ParseHealthResponse(const std::string& in, HealthResponse* out) {
 }
 
 std::string SerializeTraceDumpRequest(const TraceDumpRequest& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.U32(m.max_traces);
   return w.Take();
 }
 
 bool ParseTraceDumpRequest(const std::string& in, TraceDumpRequest* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   return r.U32(&out->max_traces) && r.Done();
 }
 
 std::string SerializeTraceDumpResponse(const TraceDumpResponse& m) {
-  PayloadWriter w;
+  ByteWriter w;
   w.U32(static_cast<uint32_t>(m.traces.size()));
   for (const obs::FinishedTrace& t : m.traces) {
     w.U64(t.trace_id);
@@ -443,7 +356,7 @@ std::string SerializeTraceDumpResponse(const TraceDumpResponse& m) {
 }
 
 bool ParseTraceDumpResponse(const std::string& in, TraceDumpResponse* out) {
-  PayloadReader r(in);
+  ByteReader r(in);
   uint32_t n = 0;
   if (!r.U32(&n)) return false;
   out->traces.clear();

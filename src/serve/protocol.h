@@ -2,13 +2,13 @@
 //
 // Every request and response travels as the payload of one wire frame
 // (common/framing.h); the frame's 16-bit type field carries the MsgType.
-// Payloads are little-endian and fixed-layout: integers as uint8/32/64,
-// doubles as IEEE-754 bit patterns in a uint64, strings and repeated
-// groups length-prefixed with a uint32. Parsers are bounds-checked and
-// return false on any truncation, trailing garbage, or implausible count —
-// a malformed payload can never crash the server or allocate unbounded
-// memory (element counts are validated against the bytes actually present
-// before any allocation).
+// Payloads are little-endian and fixed-layout (common/byte_codec.h):
+// integers as uint8/32/64, doubles as IEEE-754 bit patterns in a uint64,
+// strings and repeated groups length-prefixed with a uint32. Parsers are
+// bounds-checked and return false on any truncation, trailing garbage, or
+// implausible count — a malformed payload can never crash the server or
+// allocate unbounded memory (element counts are validated against the
+// bytes actually present before any allocation).
 //
 // Request → response pairs (server replies kError on any failure):
 //   kEncodeRequest   → kEncodeResponse     embed one trajectory

@@ -9,6 +9,14 @@
 //   <data_dir>/wal.log          — CRC-framed insert records appended (and
 //                                 fsync'd) since the last snapshot
 //
+// Snapshots are written in the binary codec: shape "<count> <dim> le64",
+// then the rows as raw little-endian doubles, the same encoding WAL records
+// use (see core/embedding_db.h). A legacy text snapshot (two-token shape)
+// is still recovered, and the compaction that ends a recovery with a WAL
+// tail rewrites it in binary. There is no downgrade: a binary that predates
+// the codec cannot read the raw doubles and its Open() throws
+// CorruptionError.
+//
 // Invariants, in the order they matter:
 //
 //   1. WAL-before-ack. Insert() appends and syncs the record before the

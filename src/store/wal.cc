@@ -1,77 +1,37 @@
 #include "store/wal.h"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/framing.h"
 
 namespace neutraj::store {
-
-namespace {
-
-void PutLe32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutLe64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-uint32_t GetLe32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetLe64(const unsigned char* p) {
-  return static_cast<uint64_t>(GetLe32(p)) |
-         static_cast<uint64_t>(GetLe32(p + 4)) << 32;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double BitsDouble(uint64_t bits) {
-  double d = 0.0;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-}  // namespace
 
 std::string EncodeWalRecord(const WalRecord& rec) {
   if (rec.embedding.empty()) {
     throw std::invalid_argument("EncodeWalRecord: empty embedding");
   }
-  std::string payload;
-  payload.reserve(12 + 8 * rec.embedding.size());
-  PutLe64(&payload, rec.seq);
-  PutLe32(&payload, static_cast<uint32_t>(rec.embedding.size()));
-  for (const double v : rec.embedding) PutLe64(&payload, DoubleBits(v));
-  return EncodeWireFrame(kWalInsert, payload);
+  ByteWriter w;
+  w.Reserve(12 + 8 * rec.embedding.size());
+  w.U64(rec.seq);
+  w.U32(static_cast<uint32_t>(rec.embedding.size()));
+  for (const double v : rec.embedding) w.F64(v);
+  return EncodeWireFrame(kWalInsert, w.Take());
 }
 
 bool ParseWalRecord(const std::string& payload, WalRecord* out) {
-  if (payload.size() < 12) return false;
-  const auto* p = reinterpret_cast<const unsigned char*>(payload.data());
-  const uint64_t seq = GetLe64(p);
-  const uint32_t dim = GetLe32(p + 8);
-  if (dim == 0 || payload.size() != 12 + 8 * static_cast<size_t>(dim)) {
+  ByteReader r(payload);
+  uint64_t seq = 0;
+  uint32_t dim = 0;
+  if (!r.U64(&seq) || !r.U32(&dim) || dim == 0 ||
+      r.Remaining() != 8 * static_cast<size_t>(dim)) {
     return false;
   }
   out->seq = seq;
   out->embedding.resize(dim);
-  for (uint32_t i = 0; i < dim; ++i) {
-    out->embedding[i] = BitsDouble(GetLe64(p + 12 + 8 * static_cast<size_t>(i)));
-  }
-  return true;
+  for (double& v : out->embedding) r.F64(&v);
+  return r.Done();
 }
 
 const char* WalTailName(WalTail t) {

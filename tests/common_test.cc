@@ -1,8 +1,10 @@
-// Tests for common/ utilities: Rng, string helpers, file helpers.
+// Tests for common/ utilities: Rng, string helpers, file helpers, the
+// byte codec and the CRC.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
@@ -10,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/checksum.h"
 #include "common/file_util.h"
 #include "common/framing.h"
@@ -230,6 +233,83 @@ TEST(ChecksumTest, Crc32MatchesKnownVectors) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
   EXPECT_NE(Crc32("a"), Crc32("b"));
+}
+
+// The plain bytewise CRC-32 the sliced Crc32 must reproduce.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(ChecksumTest, SlicedCrc32MatchesBytewiseReference) {
+  Rng rng(5);
+  std::vector<unsigned char> buf(1u << 20);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  // Every alignment against every tail length around the 8-byte stride.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  EXPECT_EQ(Crc32(buf.data(), buf.size()),
+            BytewiseCrc32(buf.data(), buf.size()));
+}
+
+TEST(ByteCodecTest, LittleEndianLayoutAndStickyFailure) {
+  ByteWriter w;
+  w.U8(0x01);
+  w.U16(0x0302);
+  w.U32(0x07060504u);
+  w.U64(0x0f0e0d0c0b0a0908ull);
+  w.F64(-0.0);
+  w.Str("ab");
+  const std::string bytes = w.Take();
+  const std::string expected(
+      "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f"
+      "\x00\x00\x00\x00\x00\x00\x00\x80"
+      "\x02\x00\x00\x00"
+      "ab",
+      29);
+  EXPECT_EQ(bytes, expected);
+
+  ByteReader r(bytes);
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  double f64 = 1.0;
+  std::string str;
+  ASSERT_TRUE(r.U8(&u8) && r.U16(&u16) && r.U32(&u32) && r.U64(&u64) &&
+              r.F64(&f64) && r.Str(&str));
+  EXPECT_EQ(u8, 0x01);
+  EXPECT_EQ(u16, 0x0302);
+  EXPECT_EQ(u32, 0x07060504u);
+  EXPECT_EQ(u64, 0x0f0e0d0c0b0a0908ull);
+  EXPECT_TRUE(std::signbit(f64) && f64 == 0.0);
+  EXPECT_EQ(str, "ab");
+  EXPECT_TRUE(r.Done());
+
+  // A short read fails the reader for good, even for reads that would fit.
+  const std::string three = bytes.substr(0, 3);
+  ByteReader short_read(three);
+  EXPECT_FALSE(short_read.U32(&u32));
+  EXPECT_FALSE(short_read.U8(&u8));
+  EXPECT_EQ(short_read.Remaining(), 0u);
+  EXPECT_FALSE(short_read.Done());
+  // A string whose length prefix overruns the bytes is refused up front.
+  const std::string overrun_bytes("\xff\xff\xff\x00x", 5);
+  ByteReader overrun(overrun_bytes);
+  EXPECT_FALSE(overrun.Str(&str));
 }
 
 TEST(FramingTest, WriteParseRoundtrip) {

@@ -1,11 +1,15 @@
 // Unit tests for the durability layer: WAL record codec, replay semantics
 // (idempotence, torn/corrupt/bad tails), DurableStore recovery and
-// compaction, degraded read-only mode, and the typed CorruptionError
-// surfaced by a damaged snapshot.
+// compaction, degraded read-only mode, the snapshot codec (binary and
+// legacy text), and the typed CorruptionError surfaced by a damaged
+// snapshot.
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -434,6 +438,125 @@ TEST_F(StoreTest, DeserializeReportsTruncatedValues) {
   } catch (const CorruptionError& e) {
     EXPECT_EQ(e.section(), "embeddings");
     EXPECT_EQ(e.offset(), 1u);  // Failure at embedding index 1.
+  }
+}
+
+// -- Snapshot codec ----------------------------------------------------------
+
+/// A legacy text snapshot as the pre-binary writer rendered it: shape
+/// "<count> <dim>", each row's values printed to 17 digits.
+std::string LegacyTextSnapshot(const std::vector<nn::Vector>& rows) {
+  std::ostringstream data;
+  data.precision(17);
+  for (const nn::Vector& e : rows) {
+    for (size_t k = 0; k < e.size(); ++k) data << (k > 0 ? " " : "") << e[k];
+    data << '\n';
+  }
+  SectionWriter w("embdb");
+  w.Add("shape", std::to_string(rows.size()) + " " +
+                     std::to_string(rows.empty() ? 0 : rows[0].size()));
+  w.Add("embeddings", data.str());
+  return w.Finish();
+}
+
+/// Expects `got` to hold `want`'s rows with every value's bit pattern equal,
+/// so -0.0 and 0.0 differ.
+void ExpectBitIdentical(const std::vector<nn::Vector>& got,
+                        const std::vector<nn::Vector>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << "row " << i;
+    for (size_t k = 0; k < want[i].size(); ++k) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i][k]),
+                std::bit_cast<uint64_t>(want[i][k]))
+          << "row " << i << " value " << k;
+    }
+  }
+}
+
+TEST_F(StoreTest, SnapshotRoundTripIsBitIdentical) {
+  const std::vector<nn::Vector> rows = {
+      {-0.0, std::numeric_limits<double>::denorm_min(), 1e-300},
+      {std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+       0.0},
+      MakeEmbedding(3, 7)};
+  EmbeddingDatabase db;
+  for (const nn::Vector& e : rows) db.Insert(e);
+  const std::string path = dir_ + "/snapshot.embdb";
+  db.Save(path);
+
+  const SectionReader r(ReadFile(path), "embdb", path);
+  EXPECT_EQ(r.Get("shape"), "3 3 le64");
+  EXPECT_EQ(r.Get("embeddings").size(), 3u * 3u * sizeof(double));
+  ExpectBitIdentical(EmbeddingDatabase::Load(path).embeddings(), rows);
+}
+
+TEST_F(StoreTest, LegacyTextSnapshotLoads) {
+  const std::vector<nn::Vector> rows = {MakeEmbedding(5, 1), MakeEmbedding(5, 2),
+                                        {-0.0, 1e-300, 0.5, -2.0, 3.25}};
+  const EmbeddingDatabase db =
+      EmbeddingDatabase::Deserialize(LegacyTextSnapshot(rows), "test");
+  EXPECT_EQ(db.dim(), 5u);
+  ExpectBitIdentical(db.embeddings(), rows);
+}
+
+TEST_F(StoreTest, LegacySnapshotWithWalTailRecoversAndIsRewrittenBinary) {
+  const std::vector<nn::Vector> rows = {MakeEmbedding(4, 1), MakeEmbedding(4, 2),
+                                        MakeEmbedding(4, 3), MakeEmbedding(4, 4)};
+  OverwriteFile(dir_ + "/snapshot.embdb",
+                LegacyTextSnapshot({rows[0], rows[1]}));
+  OverwriteFile(dir_ + "/wal.log", EncodeLog({{2, rows[2]}, {3, rows[3]}}));
+
+  EmbeddingDatabase recovered;
+  DurableStore store(&recovered, {.data_dir = dir_});
+  const DurableStore::RecoveryInfo info = store.Open();
+  EXPECT_EQ(info.snapshot_records, 2u);
+  EXPECT_EQ(info.replayed, 2u);
+  EXPECT_EQ(info.tail, WalTail::kClean);
+  ExpectBitIdentical(recovered.embeddings(), rows);
+
+  // The end-of-open compaction rewrote the snapshot in the binary codec.
+  const SectionReader r(ReadFile(store.snapshot_path()), "embdb", "test");
+  EXPECT_EQ(r.Get("shape"), "4 4 le64");
+  ExpectBitIdentical(EmbeddingDatabase::Load(store.snapshot_path()).embeddings(),
+                     rows);
+}
+
+TEST_F(StoreTest, BinarySnapshotOneRowShortIsCorrupt) {
+  EmbeddingDatabase db;
+  for (uint64_t i = 0; i < 3; ++i) db.Insert(MakeEmbedding(4, i));
+  const SectionReader full(db.Serialize(), "embdb", "test");
+  const std::string& payload = full.Get("embeddings");
+  // Re-framed with valid CRCs, so only the shape/payload check can catch it.
+  SectionWriter w("embdb");
+  w.Add("shape", full.Get("shape"));
+  w.Add("embeddings", payload.substr(0, payload.size() - 4 * sizeof(double)));
+  try {
+    EmbeddingDatabase::Deserialize(w.Finish(), "test");
+    FAIL() << "expected CorruptionError";
+  } catch (const CorruptionError& e) {
+    EXPECT_EQ(e.section(), "embeddings");
+  }
+}
+
+// A CRC-valid container whose shape claims 1.6e19 values must be rejected
+// before anything is sized from it, in either codec — and DurableStore::Open
+// must surface that as the typed error, not std::bad_alloc.
+TEST_F(StoreTest, HostileShapeIsCorruptionBeforeAllocation) {
+  for (const std::string shape :
+       {"4000000000 4000000000", "4000000000 4000000000 le64",
+        "18446744073709551615 2 le64", "3 18446744073709551615"}) {
+    SectionWriter w("embdb");
+    w.Add("shape", shape);
+    w.Add("embeddings", "1 2 3 4 5 6 7 8");
+    const std::string bytes = w.Finish();
+    EXPECT_THROW(EmbeddingDatabase::Deserialize(bytes, "test"), CorruptionError)
+        << shape;
+
+    OverwriteFile(dir_ + "/snapshot.embdb", bytes);
+    EmbeddingDatabase db;
+    DurableStore store(&db, {.data_dir = dir_});
+    EXPECT_THROW(store.Open(), CorruptionError) << shape;
   }
 }
 

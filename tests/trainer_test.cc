@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
+#include <string>
 
 #include "core/search.h"
 #include "core/trainer.h"
@@ -52,14 +54,22 @@ NeuTrajConfig TinyConfig(NeuTrajConfig base) {
   return base;
 }
 
-class VariantTrainingTest
-    : public ::testing::TestWithParam<std::pair<const char*, NeuTrajConfig>> {};
+struct VariantCase {
+  std::string name;
+  NeuTrajConfig config;
+};
+
+// Print only the variant name: the default printer would dump the config
+// bytes, and ctest's discovered test names would carry that dump.
+void PrintTo(const VariantCase& c, std::ostream* os) { *os << c.name; }
+
+class VariantTrainingTest : public ::testing::TestWithParam<VariantCase> {};
 
 TEST_P(VariantTrainingTest, LossDecreasesOverTraining) {
   Rng rng(71);
   const auto corpus = ClusteredCorpus(24, &rng);
   const DistanceMatrix d = ComputePairwiseDistances(corpus, Measure::kFrechet);
-  NeuTrajConfig cfg = TinyConfig(GetParam().second);
+  NeuTrajConfig cfg = TinyConfig(GetParam().config);
   cfg.epochs = 10;
   Trainer trainer(cfg, CorpusGrid(corpus), corpus, d);
   const TrainResult r = trainer.Train();
@@ -71,7 +81,7 @@ TEST_P(VariantTrainingTest, LossDecreasesOverTraining) {
   const double tail = (r.epochs[cfg.epochs - 2].mean_loss +
                        r.epochs[cfg.epochs - 1].mean_loss) /
                       2.0;
-  EXPECT_LT(tail, head) << GetParam().first
+  EXPECT_LT(tail, head) << GetParam().name
                         << " should reduce its training loss";
   EXPECT_GT(r.total_seconds, 0.0);
 }
@@ -84,15 +94,15 @@ NeuTrajConfig WithBackbone(NeuTrajConfig cfg, nn::Backbone backbone) {
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, VariantTrainingTest,
     ::testing::Values(
-        std::make_pair("NeuTraj", NeuTrajConfig::NeuTraj()),
-        std::make_pair("NoSam", NeuTrajConfig::NoSam()),
-        std::make_pair("NoWs", NeuTrajConfig::NoWs()),
-        std::make_pair("Siamese", NeuTrajConfig::Siamese()),
-        std::make_pair("Gru", WithBackbone(NeuTrajConfig::NeuTraj(),
-                                           nn::Backbone::kGru)),
-        std::make_pair("SamGru", WithBackbone(NeuTrajConfig::NeuTraj(),
-                                              nn::Backbone::kSamGru))),
-    [](const auto& param_info) { return std::string(param_info.param.first); });
+        VariantCase{"NeuTraj", NeuTrajConfig::NeuTraj()},
+        VariantCase{"NoSam", NeuTrajConfig::NoSam()},
+        VariantCase{"NoWs", NeuTrajConfig::NoWs()},
+        VariantCase{"Siamese", NeuTrajConfig::Siamese()},
+        VariantCase{"Gru", WithBackbone(NeuTrajConfig::NeuTraj(),
+                                        nn::Backbone::kGru)},
+        VariantCase{"SamGru", WithBackbone(NeuTrajConfig::NeuTraj(),
+                                           nn::Backbone::kSamGru)}),
+    [](const auto& param_info) { return param_info.param.name; });
 
 TEST(TrainerTest, RejectsBadInputs) {
   Rng rng(72);
