@@ -22,18 +22,16 @@
 // exists to track.
 //
 // Phase 4 is the retrieval subsystem at the scale it was built for: a
-// seeded, clustered 1M x dim-8 synthetic corpus queried three ways —
-//   - exact: the flat EmbeddingDatabase O(N * d) scan (the baseline and the
-//     ground truth for recall);
-//   - sharded: ShardedEmbeddingDatabase scatter-gather, which must return
-//     BIT-IDENTICAL results to the exact scan (a correctness gate — on one
-//     box it is the same total work, the shards buy lock scaling);
+// seeded, clustered 1M x dim-8 synthetic corpus queried through both
+// retrieval backends the server can run —
+//   - exact: ExactBackend, the flat EmbeddingDatabase O(N * d) scan (the
+//     baseline and the ground truth for recall);
 //   - ivf: IvfBackend — IVF probe over the int8 quantized tier, then exact
 //     float re-rank, so scores match the exact path and only recall is
 //     approximate.
 // Reports qps and per-query p50/p99 per backend plus recall@10 for the ANN
-// path, and records the knobs (shards, nlist, nprobe, rerank, seed, kernel)
-// next to the numbers in BENCH_serving.json.
+// path, and records the knobs (nlist, nprobe, rerank, seed, kernel) next to
+// the numbers in BENCH_serving.json.
 //
 // Phase 5 is the request-tracing overhead gate: the batched phase re-run
 // with the tracer configured off and again with 1-in-64 head sampling.
@@ -44,10 +42,9 @@
 // trace context attached versus none: the serialized replies to the same
 // query must match byte for byte.
 //
-// Exit status is the acceptance gate: batched >= 2x unbatched, the sharded
-// scan bit-identical to exact, IVF+int8 >= 10x exact-scan qps at
-// recall@10 >= 0.95, tracing overhead within budget, and traced/untraced
-// served bytes identical.
+// Exit status is the acceptance gate: batched >= 2x unbatched, IVF+int8
+// >= 10x exact-scan qps at recall@10 >= 0.95, tracing overhead within
+// budget, and traced/untraced served bytes identical.
 
 #include <algorithm>
 #include <cmath>
@@ -84,7 +81,6 @@ constexpr uint64_t kRetrievalSeed = 97;
 constexpr size_t kRetrievalQueries = 64;
 constexpr size_t kRetrievalK = 10;
 constexpr size_t kRetrievalRepeats = 3;  ///< Best-of, after one warm-up.
-constexpr size_t kShards = 8;
 
 struct PhaseResult {
   std::string name;
@@ -246,8 +242,6 @@ struct RetrievalResult {
   retrieval::IvfIndex::Options ivf;  ///< Knobs, recorded with the numbers.
   double build_seconds = 0.0;
   LatencyStats exact;
-  LatencyStats sharded;
-  bool sharded_identical = false;
   LatencyStats ivf_stats;
   double recall = 0.0;       ///< recall@kRetrievalK vs the exact scan.
   double ivf_speedup = 0.0;  ///< ivf qps / exact qps.
@@ -324,6 +318,7 @@ RetrievalResult RunRetrievalPhase() {
 
   EmbeddingDatabase exact_db;
   for (const nn::Vector& v : rows) exact_db.Insert(v);
+  std::vector<nn::Vector>().swap(rows);
 
   // Ground truth (and recall reference): the exact scan's answers.
   std::vector<SearchResult> truth(kRetrievalQueries);
@@ -331,36 +326,13 @@ RetrievalResult RunRetrievalPhase() {
     truth[i] = exact_db.TopK(queries[i], kRetrievalK);
   }
 
+  retrieval::ExactBackend exact(&exact_db);
   r.exact = MeasureQueries(kRetrievalQueries, [&](size_t i) {
-    exact_db.TopK(queries[i], kRetrievalK);
+    exact.TopK(queries[i], kRetrievalK, -1, 0);
   });
   std::printf("  exact    %8.1f qps  p50 %.0fus  p99 %.0fus  "
               "(flat O(N*d) scan)\n",
               r.exact.qps, r.exact.p50_micros, r.exact.p99_micros);
-
-  // Sharded scatter-gather, scoped so its corpus copy is freed before the
-  // IVF build (caps peak memory at two corpus copies).
-  {
-    retrieval::ShardedEmbeddingDatabase sharded(kShards);
-    sharded.BulkLoad(rows);
-    ThreadPool pool(kServerThreads);
-    r.sharded_identical = true;
-    for (size_t i = 0; i < kRetrievalQueries; ++i) {
-      const SearchResult got =
-          sharded.TopK(queries[i], kRetrievalK, -1, &pool);
-      if (got.ids != truth[i].ids || got.dists != truth[i].dists) {
-        r.sharded_identical = false;
-      }
-    }
-    r.sharded = MeasureQueries(kRetrievalQueries, [&](size_t i) {
-      sharded.TopK(queries[i], kRetrievalK, -1, &pool);
-    });
-    std::printf("  sharded  %8.1f qps  p50 %.0fus  p99 %.0fus  "
-                "(%zu shards, bit-identical: %s)\n",
-                r.sharded.qps, r.sharded.p50_micros, r.sharded.p99_micros,
-                kShards, r.sharded_identical ? "yes" : "NO");
-  }
-  std::vector<nn::Vector>().swap(rows);
 
   retrieval::IvfBackend ivf(&exact_db, r.ivf);
   {
@@ -547,27 +519,23 @@ int main() {
                "  \"retrieval\": {\n"
                "    \"corpus\": %zu,\n    \"dim\": %zu,\n"
                "    \"queries\": %zu,\n    \"k\": %zu,\n"
-               "    \"shards\": %zu,\n    \"nlist\": %zu,\n"
+               "    \"nlist\": %zu,\n"
                "    \"nprobe\": %zu,\n    \"rerank\": %zu,\n"
                "    \"seed\": %llu,\n    \"kernel\": \"%s\",\n"
                "    \"build_seconds\": %.3f,\n",
                kRetrievalCorpus, kEmbeddingDim, kRetrievalQueries, kRetrievalK,
-               kShards, ret.ivf.nlist, ret.ivf.default_nprobe, ret.ivf.rerank,
+               ret.ivf.nlist, ret.ivf.default_nprobe, ret.ivf.rerank,
                static_cast<unsigned long long>(ret.ivf.seed),
                retrieval::QuantizedKernelName(), ret.build_seconds);
   std::fprintf(f,
                "    \"exact\": {\"qps\": %.1f, \"p50_micros\": %.1f, "
                "\"p99_micros\": %.1f},\n"
-               "    \"sharded\": {\"qps\": %.1f, \"p50_micros\": %.1f, "
-               "\"p99_micros\": %.1f, \"bit_identical\": %s},\n"
                "    \"ivf\": {\"qps\": %.1f, \"p50_micros\": %.1f, "
                "\"p99_micros\": %.1f},\n"
                "    \"recall_at_k\": %.4f,\n    \"ivf_speedup\": %.3f\n"
                "  }\n}\n",
                ret.exact.qps, ret.exact.p50_micros, ret.exact.p99_micros,
-               ret.sharded.qps, ret.sharded.p50_micros,
-               ret.sharded.p99_micros,
-               ret.sharded_identical ? "true" : "false", ret.ivf_stats.qps,
+               ret.ivf_stats.qps,
                ret.ivf_stats.p50_micros, ret.ivf_stats.p99_micros, ret.recall,
                ret.ivf_speedup);
   std::fclose(f);
@@ -575,16 +543,15 @@ int main() {
 
   const bool trace_ok = off_overhead <= 0.01 && sampled_overhead <= 0.02 &&
                         served_identical;
-  const bool ok = speedup >= 2.0 && ret.sharded_identical &&
-                  ret.ivf_speedup >= 10.0 && ret.recall >= 0.95 && trace_ok;
+  const bool ok = speedup >= 2.0 && ret.ivf_speedup >= 10.0 &&
+                  ret.recall >= 0.95 && trace_ok;
   if (!ok) {
     std::fprintf(stderr,
-                 "GATE FAILED: batched %.2fx (need >= 2), sharded identical "
-                 "%d, ivf %.2fx (need >= 10) at recall %.4f (need >= 0.95), "
+                 "GATE FAILED: batched %.2fx (need >= 2), "
+                 "ivf %.2fx (need >= 10) at recall %.4f (need >= 0.95), "
                  "trace off %.2f%% (need <= 1%%), trace 1/64 %.2f%% (need "
                  "<= 2%%), served bytes identical %d\n",
-                 speedup, static_cast<int>(ret.sharded_identical),
-                 ret.ivf_speedup, ret.recall, off_overhead * 100.0,
+                 speedup, ret.ivf_speedup, ret.recall, off_overhead * 100.0,
                  sampled_overhead * 100.0,
                  static_cast<int>(served_identical));
   }

@@ -33,20 +33,14 @@
 //     21  serve::MicroBatcher join_mu_        lock_rank::kBatcherJoin
 //     30  store::DurableStore mu_             lock_rank::kStore
 //     35  retrieval::IvfIndex mu_             lock_rank::kRetrieval
-//     36  retrieval shard locks (all shards)  lock_rank::kDbShard
 //     40  EmbeddingDatabase mu_               lock_rank::kDb
 //     49  obs::RequestTracer mu_              lock_rank::kReqTrace
 //     50  obs::MetricsRegistry mu_            lock_rank::kObs
 //     51  obs::JsonlSink mu_                  lock_rank::kObsSink
 //     60  ThreadPool mu_                      lock_rank::kThreadPool
 //
-// Every shard of a ShardedEmbeddingDatabase shares rank kDbShard: a correct
-// scatter-gather holds at most ONE shard lock at a time (each worker locks
-// only its own shard), so the checker's equal-rank-nesting abort is exactly
-// the discipline — holding two shards at once is a deadlock waiting for the
-// opposite acquisition order. kRetrieval sits below kDb because the IVF
-// probe may still hold its lock when the exact re-rank enters the
-// EmbeddingDatabase reader lock.
+// kRetrieval sits below kDb because the IVF probe may still hold its lock
+// when the exact re-rank enters the EmbeddingDatabase reader lock.
 //
 // (obs::FlightRecorder's mutex is deliberately *unranked*: it is a leaf
 // acquired from the NEUTRAJ_ASSERT failure hook while the process is dying,
@@ -152,8 +146,6 @@ inline constexpr int kBatcher = 20;     ///< serve::MicroBatcher mu_.
 inline constexpr int kBatcherJoin = 21; ///< serve::MicroBatcher join_mu_.
 inline constexpr int kStore = 30;       ///< store::DurableStore mu_.
 inline constexpr int kRetrieval = 35;   ///< retrieval::IvfIndex mu_.
-inline constexpr int kDbShard = 36;     ///< Every ShardedEmbeddingDatabase
-                                        ///< shard (one-at-a-time discipline).
 inline constexpr int kDb = 40;          ///< EmbeddingDatabase mu_.
 inline constexpr int kReqTrace = 49;    ///< obs::RequestTracer mu_ (may
                                         ///< resolve registry metrics and

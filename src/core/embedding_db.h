@@ -95,8 +95,8 @@ class EmbeddingDatabase {
 
   /// Top-k nearest stored embeddings to `query` under L2. Deterministic
   /// under distance ties: equal distances are broken by ascending id. That
-  /// tie-break is a pinned API contract (tests/core_test.cc) — the sharded
-  /// and ANN retrieval paths (src/retrieval/) reproduce it to stay
+  /// tie-break is a pinned API contract (tests/core_test.cc) — the IVF
+  /// re-rank (TopKOf, used by src/retrieval/) reproduces it to stay
   /// bit-identical with this scan, so changing it is a breaking change.
   /// `exclude` (if >= 0) removes one id — typically the query itself when
   /// it is part of the corpus. Takes the reader lock.

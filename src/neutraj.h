@@ -66,7 +66,6 @@
 #include "retrieval/ivf_index.h"
 #include "retrieval/kernels.h"
 #include "retrieval/quantized.h"
-#include "retrieval/sharded_db.h"
 #include "serve/client.h"
 #include "serve/micro_batcher.h"
 #include "serve/protocol.h"

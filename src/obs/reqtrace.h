@@ -108,7 +108,7 @@ struct FinishedTrace {
 /// One in-flight sampled request's span buffer. Bounded and lock-free:
 /// Record() claims a slot with a single atomic increment and writes it
 /// without synchronization (slots are claimed exclusively), so batcher
-/// workers, scatter-gather shards and the WAL writer can all record
+/// workers, pool threads and the WAL writer can all record
 /// concurrently. The request's own completion edges (future.get(), pool
 /// barrier) order those writes before the tracer reads them in Finish().
 class RequestTrace {

@@ -1,14 +1,14 @@
 // Retrieval backends: the strategy seam between the query service and the
 // corpus scan.
 //
-// QueryService answers TopK through a RetrievalBackend. ExactBackend is the
-// existing behavior — the full O(N * d) EmbeddingDatabase scan. IvfBackend
-// is the ANN path: an IvfIndex prefilter (coarse probe + int8 proxy scan)
-// followed by an exact re-rank through EmbeddingDatabase::TopKOf, so its
-// scores are bit-identical to the exact path and only recall is
-// approximate. Both backends are views over the service's primary
-// EmbeddingDatabase — inserts land in the database (and WAL) first, then
-// NotifyInsert keeps the backend's index current.
+// QueryService answers every TopK through a RetrievalBackend. ExactBackend,
+// the service's default, is the full O(N * d) EmbeddingDatabase scan.
+// IvfBackend is the ANN path: an IvfIndex prefilter (coarse probe + int8
+// proxy scan) followed by an exact re-rank through
+// EmbeddingDatabase::TopKOf, so its scores are bit-identical to the exact
+// path and only recall is approximate. Both backends are views over the
+// service's primary EmbeddingDatabase — inserts land in the database (and
+// WAL) first, then NotifyInsert keeps the backend's index current.
 //
 // Telemetry (IvfBackend, re-resolved by AttachMetrics):
 //   retrieval/probe_us            histogram  coarse probe + proxy scan

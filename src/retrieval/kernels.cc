@@ -1,7 +1,6 @@
 #include "retrieval/kernels.h"
 
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 
 namespace neutraj::retrieval {
@@ -16,10 +15,6 @@ double ExactSquaredL2(const double* a, const double* b, size_t dim) {
     acc += diff * diff;
   }
   return acc;
-}
-
-double ExactL2(const double* a, const double* b, size_t dim) {
-  return std::sqrt(ExactSquaredL2(a, b, dim));
 }
 
 namespace internal {

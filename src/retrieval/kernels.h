@@ -4,11 +4,10 @@
 // Two tiers share this header so every caller is explicit about which
 // accuracy it is buying:
 //
-//   - Exact kernels (double): bit-identical to the core scan path
-//     (nn::L2Distance), used by k-means training, sharded exact scans and
-//     the final re-rank. ExactSquaredL2 is the monotone form (no sqrt) for
-//     argmin searches; ExactL2 matches the distances the serving TopK
-//     returns.
+//   - Exact kernel (double): bit-identical to the core scan path
+//     (nn::L2Distance), used by k-means training and centroid assignment.
+//     ExactSquaredL2 is the monotone form (no sqrt) for argmin searches;
+//     its sqrt is bit-identical to the distance the serving TopK returns.
 //
 //   - Quantized kernels (int8 codes): integer-only inner loops — subtract,
 //     square, weighted i32 products accumulated into i64 — so the candidate
@@ -40,9 +39,6 @@ namespace neutraj::retrieval {
 /// nn::L2Distance minus the final sqrt, so sqrt(ExactSquaredL2(a, b, d))
 /// is bit-identical to the core scan's distance.
 double ExactSquaredL2(const double* a, const double* b, size_t dim);
-
-/// sqrt(ExactSquaredL2): the distance the serving TopK reports.
-double ExactL2(const double* a, const double* b, size_t dim);
 
 /// Σ w_d · (a_d - b_d)² over int8 codes with int32 weights, accumulated in
 /// int64. Exact for any dim ≤ 2^31 / (254² · max_w) per partial block —

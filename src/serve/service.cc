@@ -50,6 +50,7 @@ QueryService::QueryService(const NeuTrajModel& model, EmbeddingDatabase* db,
     : model_(model),
       db_(db),
       store_(store),
+      exact_backend_(db),
       batcher_(model, WithRegistry(batch_opts, &registry_)),
       stats_(&registry_) {
   if (db == nullptr) {
@@ -262,15 +263,8 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       }
       if (req.k > kMaxTopKResults) req.k = kMaxTopKResults;
       const nn::Vector query = batcher_.Encode(req.query, t);
-      // The backend (when configured) owns the scan strategy; its exact
-      // re-rank keeps scores bit-identical to the direct db_ path.
-      SearchResult r;
-      if (backend_ != nullptr) {
-        r = backend_->TopK(query, req.k, req.exclude, req.nprobe, t);
-      } else {
-        obs::StageSpan scan_span(t, "scan");
-        r = db_->TopK(query, req.k, req.exclude);
-      }
+      const SearchResult r =
+          backend_->TopK(query, req.k, req.exclude, req.nprobe, t);
       TopKResponse resp;
       resp.ids.assign(r.ids.begin(), r.ids.end());
       resp.dists = r.dists;
@@ -307,10 +301,10 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       } else {
         resp.id = db_->Insert(embedding);
       }
-      // Mirror into the ANN backend only after the row is in the primary
-      // (and durable) corpus: a query racing this insert may briefly miss
-      // the row, but can never surface an id the database cannot re-rank.
-      if (backend_ != nullptr) backend_->NotifyInsert(resp.id, embedding);
+      // Mirror into the backend only after the row is in the primary (and
+      // durable) corpus: a query racing this insert may briefly miss the
+      // row, but can never surface an id the database cannot re-rank.
+      backend_->NotifyInsert(resp.id, embedding);
       // id+1, not db_->size(): a concurrent insert may land between the two
       // calls, and the reply should be a consistent snapshot of *this* op.
       resp.corpus_size = resp.id + 1;

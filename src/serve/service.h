@@ -112,12 +112,14 @@ class QueryService {
   /// Inserts keep landing in the database/store first and are then mirrored
   /// to the backend via NotifyInsert, so the backend stays a view of the
   /// durable corpus. The backend's metrics re-register into this service's
-  /// registry. Pass nullptr (the default state) for the plain exact scan.
+  /// registry. nullptr restores the default: the service's own
+  /// ExactBackend, the full scan of its database.
   /// Not thread-safe against in-flight requests — call before serving.
   void set_retrieval_backend(retrieval::RetrievalBackend* backend) {
-    backend_ = backend;
-    if (backend_ != nullptr) backend_->AttachMetrics(&registry_);
+    backend_ = backend != nullptr ? backend : &exact_backend_;
+    backend_->AttachMetrics(&registry_);
   }
+  /// The backend answering TopK; never null.
   retrieval::RetrievalBackend* retrieval_backend() { return backend_; }
 
   /// Applies tracing knobs (sampling rate, ring size, slow-query log) to
@@ -145,8 +147,11 @@ class QueryService {
   const NeuTrajModel& model_;
   EmbeddingDatabase* db_;
   store::DurableStore* store_;  ///< Nullable: no durability configured.
-  /// Nullable: no ANN backend configured — TopK scans db_ directly.
-  retrieval::RetrievalBackend* backend_ = nullptr;
+  /// The default backend: the exact scan over db_.
+  retrieval::ExactBackend exact_backend_;
+  /// Answers every TopK; exact_backend_ unless set_retrieval_backend
+  /// installed another.
+  retrieval::RetrievalBackend* backend_ = &exact_backend_;
   /// Per-service registry (declared before the members that register into
   /// it): two services in one process — routine in tests — never share
   /// counters, and a stats snapshot covers exactly this server's traffic.

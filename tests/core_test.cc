@@ -284,10 +284,10 @@ TEST(LossTest, BackpropSkipsCoincidentEmbeddings) {
 }
 
 TEST(EmbeddingDatabaseTest, TopKBreaksDistanceTiesByAscendingId) {
-  // The ascending-id tie-break is a pinned API contract: the sharded and
-  // ANN retrieval paths (src/retrieval/) replicate it to stay bit-identical
-  // with this scan, and the serving protocol's determinism guarantees lean
-  // on it. If this test fails, those paths silently diverge.
+  // The ascending-id tie-break is a pinned API contract: the IVF re-rank
+  // (src/retrieval/) replicates it to stay bit-identical with this scan,
+  // and the serving protocol's determinism guarantees lean on it. If this
+  // test fails, those paths silently diverge.
   EmbeddingDatabase db;
   const nn::Vector near = {1.0, 0.0};
   const nn::Vector far = {3.0, 0.0};

@@ -1,15 +1,13 @@
 // Tests for the retrieval subsystem (src/retrieval/): int8 quantized tier,
-// sharded embedding database, IVF ANN index, and the serve-layer backends.
+// IVF ANN index, and the serve-layer backends.
 //
 // The load-bearing invariants pinned here:
 //   - the quantized kernel is exact integer math and matches a naive
 //     reference loop at every dimension (so SIMD variants cannot diverge);
-//   - the sharded scatter-gather TopK is BIT-identical to the flat
-//     EmbeddingDatabase scan for every shard count, including ties;
 //   - the IVF build is deterministic across thread counts and rebuilds;
 //   - IVF results are exactly re-ranked: every returned distance is the
 //     exact float distance, and probing every cell reproduces the exact
-//     scan bit-for-bit.
+//     scan bit-for-bit — also after live inserts that raced queries.
 
 #include <algorithm>
 #include <cmath>
@@ -23,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/embedding_db.h"
 #include "core/search.h"
 #include "nn/matrix.h"
@@ -31,7 +28,6 @@
 #include "retrieval/ivf_index.h"
 #include "retrieval/kernels.h"
 #include "retrieval/quantized.h"
-#include "retrieval/sharded_db.h"
 
 namespace neutraj::retrieval {
 namespace {
@@ -83,7 +79,6 @@ TEST(KernelsTest, ExactL2MatchesCoreDistanceBitwise) {
       a[d] = rng.Gaussian(0.0, 3.0);
       b[d] = rng.Gaussian(0.0, 3.0);
     }
-    EXPECT_EQ(ExactL2(a.data(), b.data(), dim), nn::L2Distance(a, b));
     EXPECT_EQ(std::sqrt(ExactSquaredL2(a.data(), b.data(), dim)),
               nn::L2Distance(a, b));
   }
@@ -213,117 +208,6 @@ TEST(Int8QuantizerTest, RejectsEmptyAndRaggedSamples) {
   EXPECT_THROW(Int8Quantizer::Train(ragged), std::invalid_argument);
   const Int8Quantizer q = Int8Quantizer::Train({nn::Vector(3, 1.0)});
   EXPECT_THROW(q.Encode(nn::Vector(5, 0.0)), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded database.
-
-TEST(ShardedDbTest, BitIdenticalToFlatScanForEveryShardCount) {
-  auto rows = GaussianRows(257, 31);
-  // Inject exact duplicates so the (distance, id) tie-break is exercised.
-  rows[100] = rows[7];
-  rows[200] = rows[7];
-  const EmbeddingDatabase flat = FlatDb(rows);
-  const auto queries = GaussianRows(8, 32);
-
-  for (size_t shards : {1u, 2u, 3u, 7u, 8u, 64u}) {
-    ShardedEmbeddingDatabase sharded(shards);
-    sharded.BulkLoad(rows);
-    ASSERT_EQ(sharded.size(), rows.size());
-    for (const nn::Vector& q : queries) {
-      for (size_t k : {1u, 5u, 10u, 300u}) {
-        const SearchResult expected = flat.TopK(q, k);
-        const SearchResult got = sharded.TopK(q, k);
-        EXPECT_EQ(got.ids, expected.ids) << shards << " shards, k=" << k;
-        EXPECT_EQ(got.dists, expected.dists);
-      }
-      // exclude must drop exactly that id, as in the flat scan.
-      const SearchResult expected = flat.TopK(q, 7, /*exclude=*/7);
-      const SearchResult got = sharded.TopK(q, 7, /*exclude=*/7);
-      EXPECT_EQ(got.ids, expected.ids);
-      EXPECT_EQ(got.dists, expected.dists);
-    }
-    // A query against a duplicated row must surface all copies in
-    // ascending-id order.
-    const SearchResult dup = sharded.TopK(rows[7], 3);
-    EXPECT_EQ(dup.ids, (std::vector<size_t>{7, 100, 200}));
-    EXPECT_EQ(dup.dists, (std::vector<double>{0.0, 0.0, 0.0}));
-  }
-}
-
-TEST(ShardedDbTest, PooledScatterMatchesInlineScatter) {
-  const auto rows = GaussianRows(300, 33);
-  ShardedEmbeddingDatabase sharded(5);
-  sharded.BulkLoad(rows);
-  ThreadPool pool(4);
-  const auto queries = GaussianRows(6, 34);
-  for (const nn::Vector& q : queries) {
-    const SearchResult inline_r = sharded.TopK(q, 12);
-    const SearchResult pooled_r = sharded.TopK(q, 12, -1, &pool);
-    EXPECT_EQ(pooled_r.ids, inline_r.ids);
-    EXPECT_EQ(pooled_r.dists, inline_r.dists);
-  }
-}
-
-TEST(ShardedDbTest, ConcurrentInsertsAssignDenseIdsAndStayVisible) {
-  constexpr size_t kThreads = 4;
-  constexpr size_t kPerThread = 250;
-  const auto rows = GaussianRows(kThreads * kPerThread, 35);
-  ShardedEmbeddingDatabase sharded(7);
-
-  // Each thread inserts its slice and records the (id, row index) pairs the
-  // database assigned; readers run TopK concurrently.
-  std::vector<std::vector<std::pair<size_t, size_t>>> assigned(kThreads);
-  std::vector<std::thread> workers;
-  for (size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        const size_t row = t * kPerThread + i;
-        assigned[t].push_back({sharded.Insert(rows[row]), row});
-        if (i % 64 == 0) {
-          (void)sharded.TopK(rows[row], 3);  // Racing reader: must not trip
-                                             // TSan or see torn rows.
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  ASSERT_EQ(sharded.size(), kThreads * kPerThread);
-  std::set<size_t> ids;
-  for (const auto& per_thread : assigned) {
-    for (const auto& [id, row] : per_thread) {
-      EXPECT_TRUE(ids.insert(id).second) << "duplicate id " << id;
-      EXPECT_EQ(sharded.At(id), rows[row]);
-    }
-  }
-  EXPECT_EQ(*ids.rbegin(), kThreads * kPerThread - 1);  // Dense 0..n-1.
-
-  // Post-quiesce, the sharded scan must agree with a flat database holding
-  // the same rows in id order.
-  std::vector<nn::Vector> by_id(kThreads * kPerThread);
-  for (const auto& per_thread : assigned) {
-    for (const auto& [id, row] : per_thread) by_id[id] = rows[row];
-  }
-  const EmbeddingDatabase flat = FlatDb(by_id);
-  const auto queries = GaussianRows(4, 36);
-  for (const nn::Vector& q : queries) {
-    const SearchResult expected = flat.TopK(q, 10);
-    const SearchResult got = sharded.TopK(q, 10);
-    EXPECT_EQ(got.ids, expected.ids);
-    EXPECT_EQ(got.dists, expected.dists);
-  }
-}
-
-TEST(ShardedDbTest, ValidatesInput) {
-  ShardedEmbeddingDatabase sharded(3);
-  EXPECT_THROW(sharded.Insert(nn::Vector{}), std::invalid_argument);
-  sharded.Insert(nn::Vector(4, 1.0));
-  EXPECT_THROW(sharded.Insert(nn::Vector(5, 1.0)), std::invalid_argument);
-  EXPECT_THROW(sharded.BulkLoad({nn::Vector(4, 0.0)}), std::logic_error);
-  EXPECT_THROW(sharded.TopK(nn::Vector(5, 0.0), 3), std::invalid_argument);
-  EXPECT_THROW(sharded.At(1), std::out_of_range);
-  EXPECT_EQ(sharded.At(0), nn::Vector(4, 1.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -496,6 +380,66 @@ TEST(BackendTest, NotifyInsertKeepsIndexInSyncWithDatabase) {
   ASSERT_EQ(r.ids.size(), 1u);
   EXPECT_EQ(r.ids.front(), id);
   EXPECT_EQ(r.dists.front(), 0.0);
+}
+
+TEST(BackendTest, LiveInsertsRacingTopKKeepIdsDenseAndFullProbeExact) {
+  // The serving write path under concurrency: each writer appends a row to
+  // the primary database, then mirrors it into the IVF index, while TopK
+  // (probe + exact re-rank) runs against both. A race target for TSan via
+  // the `retrieval` label.
+  constexpr size_t kSeedRows = 400;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 250;
+  const auto rows = ClusteredRows(kSeedRows + kThreads * kPerThread, 8, 67);
+  EmbeddingDatabase db =
+      FlatDb(std::vector<nn::Vector>(rows.begin(), rows.begin() + kSeedRows));
+  IvfIndex::Options opts = SmallIvfOptions();
+  opts.rerank = rows.size();  // Full probe then surfaces every row.
+  IvfBackend ivf(&db, opts);
+  ivf.Build();
+
+  // Each thread records the (id, row index) pairs the database assigned.
+  std::vector<std::vector<std::pair<size_t, size_t>>> assigned(kThreads);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        const size_t row = kSeedRows + t * kPerThread + i;
+        const size_t id = db.Insert(rows[row]);
+        ivf.NotifyInsert(id, rows[row]);
+        assigned[t].push_back({id, row});
+        if (i % 8 == 0) {
+          // Racing reader: the database may hold rows not yet mirrored into
+          // the index, but the index never holds an id the database lacks.
+          const SearchResult r = ivf.TopK(rows[row], 3, -1, 0);
+          EXPECT_FALSE(r.ids.empty());
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  ASSERT_EQ(db.size(), rows.size());
+  ASSERT_EQ(ivf.index().size(), rows.size());
+  std::set<size_t> ids;
+  for (const auto& per_thread : assigned) {
+    for (const auto& [id, row] : per_thread) {
+      EXPECT_TRUE(ids.insert(id).second) << "duplicate id " << id;
+      EXPECT_EQ(db.at(id), rows[row]);
+    }
+  }
+  // Dense: the inserts took exactly the ids after the seed rows.
+  EXPECT_EQ(*ids.begin(), kSeedRows);
+  EXPECT_EQ(*ids.rbegin(), rows.size() - 1);
+
+  // Post-quiesce, a full probe is bit-identical to the exact scan.
+  const auto queries = GaussianRows(20, 68);
+  for (const nn::Vector& q : queries) {
+    const SearchResult expected = db.TopK(q, 10);
+    const SearchResult got = ivf.TopK(q, 10, -1, ivf.index().nlist());
+    EXPECT_EQ(got.ids, expected.ids);
+    EXPECT_EQ(got.dists, expected.dists);
+  }
 }
 
 }  // namespace

@@ -375,7 +375,11 @@ TEST_F(ServerTest, IvfBackedServiceServesBitIdenticalTopKAtFullProbe) {
 
   EmbeddingDatabase exact_db = EmbeddingDatabase::Build(model_, corpus_, 2);
   QueryService exact_svc(model_, &exact_db, BatchOpts());
+  // Every service answers TopK through a backend: the exact scan by
+  // default, the installed one after set_retrieval_backend.
+  EXPECT_STREQ(exact_svc.retrieval_backend()->name(), "exact");
   svc_.set_retrieval_backend(&backend);
+  EXPECT_EQ(svc_.retrieval_backend(), &backend);
 
   Server ivf_server(&svc_, ServerOptions{});
   Server exact_server(&exact_svc, ServerOptions{});
@@ -410,7 +414,10 @@ TEST_F(ServerTest, IvfBackedServiceServesBitIdenticalTopKAtFullProbe) {
   exact_client.Close();
   ivf_server.Stop();
   exact_server.Stop();
+  // nullptr restores the default exact backend; it is never null.
   svc_.set_retrieval_backend(nullptr);
+  ASSERT_NE(svc_.retrieval_backend(), nullptr);
+  EXPECT_STREQ(svc_.retrieval_backend()->name(), "exact");
 }
 
 TEST_F(ServerTest, ManyShortLivedConnectionsAreReaped) {

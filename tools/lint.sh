@@ -43,7 +43,7 @@
 #      bit-identical to the exact scan only because every float distance
 #      flows through the kernel seam (whose accumulation order mirrors
 #      nn::L2Distance) or through the core scan itself. A stray
-#      nn::L2Distance call or sqrt in a shard/IVF scan loop is a second
+#      nn::L2Distance call or sqrt in an IVF scan loop is a second
 #      accumulation order waiting to diverge. (Raw std:: locking in
 #      src/retrieval is already banned repo-wide by rule 7.)
 #
