@@ -1,7 +1,11 @@
 #include "core/embedding_db.h"
 
+#include <algorithm>
+#include <atomic>
 #include <charconv>
+#include <exception>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -13,6 +17,7 @@
 #include "common/framing.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace neutraj {
 
@@ -35,6 +40,70 @@ bool CheckedMul(size_t a, size_t b, size_t* out) {
   *out = a * b;
   return true;
 }
+
+constexpr size_t kScanChunkBytes = size_t{1} << 20;
+
+/// One chunked TopK scan: the row ranges, the counter the caller and its
+/// helpers claim them from, and one heap per chunk, written only by the
+/// thread that claimed the chunk and read by the caller once `done_`
+/// counts it.
+class ChunkedScan {
+ public:
+  ChunkedScan(const std::vector<nn::Vector>* rows, const nn::Vector* query,
+              size_t k, int64_t exclude, size_t chunk_rows)
+      : rows_(rows),
+        query_(query),
+        exclude_(exclude),
+        chunk_rows_(chunk_rows),
+        chunks_((rows->size() + chunk_rows - 1) / chunk_rows),
+        heaps_(chunks_, TopKHeap(k)),
+        errors_(chunks_) {}
+
+  size_t num_chunks() const { return chunks_; }
+
+  /// Claims and scans chunks until none is left. Never throws: a chunk's
+  /// exception is kept for Wait() so that `done_` always reaches chunks_.
+  void Drain() {
+    for (size_t c = next_.fetch_add(1, std::memory_order_relaxed); c < chunks_;
+         c = next_.fetch_add(1, std::memory_order_relaxed)) {
+      const size_t begin = c * chunk_rows_;
+      const size_t end = std::min(begin + chunk_rows_, rows_->size());
+      try {
+        ScanTopK(*rows_, *query_, begin, end, exclude_, &heaps_[c]);
+      } catch (...) {
+        errors_[c] = std::current_exception();
+      }
+      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks_) {
+        done_.notify_all();
+      }
+    }
+  }
+
+  /// Called by the caller after its own Drain(): blocks until every chunk
+  /// a helper claimed has finished, then merges the chunk heaps.
+  SearchResult Wait() {
+    for (size_t d = done_.load(std::memory_order_acquire); d != chunks_;
+         d = done_.load(std::memory_order_acquire)) {
+      done_.wait(d, std::memory_order_acquire);
+    }
+    for (size_t c = 0; c < chunks_; ++c) {
+      if (errors_[c]) std::rethrow_exception(errors_[c]);
+      if (c > 0) heaps_[0].Merge(heaps_[c]);
+    }
+    return heaps_[0].Take();
+  }
+
+ private:
+  const std::vector<nn::Vector>* rows_;
+  const nn::Vector* query_;
+  int64_t exclude_;
+  size_t chunk_rows_;
+  size_t chunks_;
+  std::vector<TopKHeap> heaps_;
+  std::vector<std::exception_ptr> errors_;
+  std::atomic<size_t> next_{0};
+  std::atomic<size_t> done_{0};
+};
 
 }  // namespace
 
@@ -144,8 +213,14 @@ size_t EmbeddingDatabase::Insert(const NeuTrajModel& model,
   return Insert(model.Embed(traj));
 }
 
+size_t EmbeddingDatabase::ScanChunkRows(size_t dim) {
+  return std::max<size_t>(1, kScanChunkBytes / (std::max<size_t>(dim, 1) *
+                                                sizeof(double)));
+}
+
 SearchResult EmbeddingDatabase::TopK(const nn::Vector& query, size_t k,
-                                     int64_t exclude) const {
+                                     int64_t exclude, ThreadPool* helpers,
+                                     size_t max_helpers) const {
   Stopwatch sw;
   ReaderLock lock(mu_);
   if (!embeddings_.empty() && query.size() != dim_) {
@@ -154,10 +229,26 @@ SearchResult EmbeddingDatabase::TopK(const nn::Vector& query, size_t k,
                                 " != database dimension " +
                                 std::to_string(dim_));
   }
-  // EmbeddingTopK resolves distance ties by ascending id (see
-  // core/search.cc TopKImpl), so results are deterministic for a fixed
-  // corpus state regardless of duplicate embeddings.
-  SearchResult result = EmbeddingTopK(embeddings_, query, k, exclude);
+  const size_t chunk_rows = ScanChunkRows(dim_);
+  SearchResult result;
+  if (helpers == nullptr || max_helpers == 0 ||
+      embeddings_.size() <= chunk_rows) {
+    result = EmbeddingTopK(embeddings_, query, k, exclude);
+  } else {
+    // The rows stay valid while helpers scan them: every claimed chunk
+    // finishes before Wait() returns, and the reader lock is held until
+    // then. A helper task that starts later finds no chunk left and only
+    // touches the shared state it co-owns.
+    auto scan = std::make_shared<ChunkedScan>(&embeddings_, &query, k,
+                                              exclude, chunk_rows);
+    const size_t tasks = std::min(
+        {helpers->num_threads(), max_helpers, scan->num_chunks() - 1});
+    for (size_t t = 0; t < tasks; ++t) {
+      helpers->Submit([scan] { scan->Drain(); });
+    }
+    scan->Drain();
+    result = scan->Wait();
+  }
   topk_us_->Record(sw.ElapsedMillis() * 1e3);
   return result;
 }

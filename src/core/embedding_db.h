@@ -40,6 +40,8 @@
 
 namespace neutraj {
 
+class ThreadPool;
+
 /// Corpus embeddings plus the query primitives over them.
 class EmbeddingDatabase {
  public:
@@ -100,8 +102,24 @@ class EmbeddingDatabase {
   /// bit-identical with this scan, so changing it is a breaking change.
   /// `exclude` (if >= 0) removes one id — typically the query itself when
   /// it is part of the corpus. Takes the reader lock.
-  SearchResult TopK(const nn::Vector& query, size_t k,
-                    int64_t exclude = -1) const NEUTRAJ_EXCLUDES(mu_);
+  ///
+  /// The scan streams rows through a heap of at most min(k, size()) entries
+  /// (core/search.h ScanTopK). With `helpers`, rows are split into chunks
+  /// of ScanChunkRows(dim()) rows; the caller and up to
+  /// min(helpers->num_threads(), max_helpers) tasks submitted to that pool
+  /// claim chunks from one counter, and the caller waits only for chunks a
+  /// helper has already claimed, so a pool busy elsewhere costs nothing
+  /// but the parallelism. The per-chunk heaps merge by (distance, id), so
+  /// the result is identical whoever scanned which chunk. Without helpers,
+  /// with max_helpers == 0, or for a corpus of one chunk, the scan runs
+  /// inline.
+  SearchResult TopK(const nn::Vector& query, size_t k, int64_t exclude = -1,
+                    ThreadPool* helpers = nullptr,
+                    size_t max_helpers = SIZE_MAX) const
+      NEUTRAJ_EXCLUDES(mu_);
+
+  /// Rows per TopK chunk at embedding width `dim`: about 1 MiB of row data.
+  static size_t ScanChunkRows(size_t dim);
 
   /// TopK restricted to `candidates` — the exact re-rank behind an ANN
   /// prefilter (see EmbeddingTopKOf). Scores and tie-breaks are

@@ -1,7 +1,10 @@
 #include "core/search.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "core/similarity.h"
 
@@ -39,13 +42,96 @@ SearchResult TopKByDistance(const std::vector<double>& dists, size_t k,
   return TopKImpl(dists.size(), k, exclude, dists);
 }
 
+void TopKHeap::Reserve(size_t rows) {
+  heap_.reserve(std::min(k_, heap_.size() + rows));
+}
+
+void TopKHeap::Offer(const Entry& e) {
+  if (heap_.size() < k_) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), Before);
+  } else if (k_ > 0 && Before(e, heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Before);
+    heap_.back() = e;
+    std::push_heap(heap_.begin(), heap_.end(), Before);
+  }
+}
+
+void TopKHeap::Merge(const TopKHeap& other) {
+  Reserve(other.heap_.size());
+  for (const Entry& e : other.heap_) Offer(e);
+}
+
+SearchResult TopKHeap::Take() {
+  std::sort_heap(heap_.begin(), heap_.end(), Before);
+  SearchResult r;
+  r.ids.reserve(heap_.size());
+  r.dists.reserve(heap_.size());
+  for (const Entry& e : heap_) {
+    r.ids.push_back(e.id);
+    r.dists.push_back(e.dist);
+  }
+  heap_.clear();
+  return r;
+}
+
+void ScanTopK(const std::vector<nn::Vector>& corpus, const nn::Vector& query,
+              size_t begin, size_t end, int64_t exclude, TopKHeap* heap) {
+  const size_t dim = query.size();
+  const double* q = query.data();
+  const size_t skip = exclude >= 0 ? static_cast<size_t>(exclude)
+                                   : std::numeric_limits<size_t>::max();
+  auto row = [&](size_t i) {
+    if (corpus[i].size() != dim) {
+      throw std::invalid_argument("ScanTopK: row " + std::to_string(i) +
+                                  " has dimension " +
+                                  std::to_string(corpus[i].size()) +
+                                  " != query dimension " +
+                                  std::to_string(dim));
+    }
+    return corpus[i].data();
+  };
+  heap->Reserve(end - begin);
+  size_t i = begin;
+  // Four rows at a time: four independent accumulator chains keep the FP
+  // adders busy, while each row's own sum still runs left to right.
+  for (; i + 4 <= end; i += 4) {
+    const double* r0 = row(i);
+    const double* r1 = row(i + 1);
+    const double* r2 = row(i + 2);
+    const double* r3 = row(i + 3);
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      const double d0 = r0[j] - q[j];
+      const double d1 = r1[j] - q[j];
+      const double d2 = r2[j] - q[j];
+      const double d3 = r3[j] - q[j];
+      s0 += d0 * d0;
+      s1 += d1 * d1;
+      s2 += d2 * d2;
+      s3 += d3 * d3;
+    }
+    const double sums[4] = {s0, s1, s2, s3};
+    for (size_t r = 0; r < 4; ++r) {
+      if (i + r != skip) heap->OfferScanned(sums[r], i + r);
+    }
+  }
+  for (; i < end; ++i) {
+    const double* r0 = row(i);
+    double s = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      const double d = r0[j] - q[j];
+      s += d * d;
+    }
+    if (i != skip) heap->OfferScanned(s, i);
+  }
+}
+
 SearchResult EmbeddingTopK(const std::vector<nn::Vector>& corpus,
                            const nn::Vector& query, size_t k, int64_t exclude) {
-  std::vector<double> dists(corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    dists[i] = nn::L2Distance(corpus[i], query);
-  }
-  return TopKImpl(corpus.size(), k, exclude, dists);
+  TopKHeap heap(k);
+  ScanTopK(corpus, query, 0, corpus.size(), exclude, &heap);
+  return heap.Take();
 }
 
 SearchResult EmbeddingTopKOf(const std::vector<nn::Vector>& corpus,

@@ -7,6 +7,7 @@
 #ifndef NEUTRAJ_CORE_SEARCH_H_
 #define NEUTRAJ_CORE_SEARCH_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -28,7 +29,59 @@ struct SearchResult {
 SearchResult TopKByDistance(const std::vector<double>& dists, size_t k,
                             int64_t exclude = -1);
 
-/// Top-k nearest corpus embeddings to `query` under L2.
+/// The k best (distance, id) pairs seen so far, as a bounded max-heap whose
+/// top is the current worst entry: the streaming form of TopKByDistance.
+/// It never holds more than min(k, rows offered) entries, so a scan with a
+/// huge k over a small corpus allocates no more than the corpus.
+class TopKHeap {
+ public:
+  explicit TopKHeap(size_t k) : k_(k) {}
+
+  /// Reserves room for `rows` more offers (capped at k).
+  void Reserve(size_t rows);
+
+  /// Offers row `id` at squared L2 distance `sq`; its distance is
+  /// std::sqrt(sq). Ids must arrive in ascending order: a row whose `sq`
+  /// exceeds the worst entry's is dropped without taking the sqrt, which is
+  /// exact only because an equal distance would lose the tie on id.
+  void OfferScanned(double sq, size_t id) {
+    if (heap_.size() == k_ && (k_ == 0 || sq > heap_.front().sq)) return;
+    Offer({std::sqrt(sq), sq, id});
+  }
+
+  /// Folds in every entry of `other`, whose ids may interleave with ours.
+  void Merge(const TopKHeap& other);
+
+  /// The entries ascending by (distance, id); leaves the heap empty.
+  SearchResult Take();
+
+ private:
+  struct Entry {
+    double dist;
+    double sq;  ///< dist == std::sqrt(sq): the pruning key.
+    size_t id;
+  };
+  /// The (distance, then ascending id) order every top-k result follows.
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
+  }
+  void Offer(const Entry& e);
+
+  size_t k_;
+  std::vector<Entry> heap_;  ///< Max-heap under Before.
+};
+
+/// Streams rows [begin, end) of `corpus` into `heap` under L2, skipping
+/// `exclude` (if >= 0). Each row's squared sum runs left to right over the
+/// dimensions, as nn::L2Distance does, so every score is bit-identical to
+/// it. Rows must all have the query's width (std::invalid_argument
+/// otherwise). Allocates nothing beyond the heap's min(k, rows) entries.
+void ScanTopK(const std::vector<nn::Vector>& corpus, const nn::Vector& query,
+              size_t begin, size_t end, int64_t exclude, TopKHeap* heap);
+
+/// Top-k nearest corpus embeddings to `query` under L2: ScanTopK over the
+/// whole corpus. Bit-identical to TopKByDistance over nn::L2Distance of
+/// every row, without materializing that distance vector.
 SearchResult EmbeddingTopK(const std::vector<nn::Vector>& corpus,
                            const nn::Vector& query, size_t k,
                            int64_t exclude = -1);

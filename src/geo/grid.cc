@@ -28,12 +28,14 @@ Grid::Grid(const BoundingBox& region, int32_t num_cols, int32_t num_rows)
 }
 
 GridCell Grid::CellOf(const Point& p) const {
-  auto clamp = [](int64_t v, int64_t hi) {
-    return static_cast<int32_t>(std::clamp<int64_t>(v, 0, hi));
+  // Clamp in floating point, then truncate: a far-out coordinate (1e300)
+  // must not reach an integer cast it would overflow. NaN maps to 0.
+  auto cell = [](double v, int32_t count) {
+    const double hi = static_cast<double>(count - 1);
+    return static_cast<int32_t>(v > 0.0 ? std::min(v, hi) : 0.0);
   };
-  const int64_t px = static_cast<int64_t>((p.x - region_.min_x) / cell_w_);
-  const int64_t qy = static_cast<int64_t>((p.y - region_.min_y) / cell_h_);
-  return GridCell{clamp(px, num_cols_ - 1), clamp(qy, num_rows_ - 1)};
+  return GridCell{cell((p.x - region_.min_x) / cell_w_, num_cols_),
+                  cell((p.y - region_.min_y) / cell_h_, num_rows_)};
 }
 
 Point Grid::CellCenter(const GridCell& c) const {

@@ -4,11 +4,23 @@
 
 namespace neutraj::retrieval {
 
+ExactBackend::ExactBackend(const EmbeddingDatabase* db, size_t threads)
+    : db_(db),
+      threads_(threads),
+      helpers_(threads > 1 ? std::make_unique<ThreadPool>(threads - 1)
+                           : nullptr) {}
+
 SearchResult ExactBackend::TopK(const nn::Vector& query, size_t k,
                                 int64_t exclude, size_t /*nprobe*/,
                                 obs::RequestTrace* trace) {
   obs::StageSpan scan_span(trace, "scan");
-  return db_->TopK(query, k, exclude);
+  const size_t callers = callers_.fetch_add(1, std::memory_order_relaxed) + 1;
+  struct Leave {
+    std::atomic<size_t>& n;
+    ~Leave() { n.fetch_sub(1, std::memory_order_relaxed); }
+  } leave{callers_};
+  const size_t spare = callers < threads_ ? (threads_ - callers) / callers : 0;
+  return db_->TopK(query, k, exclude, helpers_.get(), spare);
 }
 
 IvfBackend::IvfBackend(const EmbeddingDatabase* db, IvfIndex::Options options,

@@ -2,7 +2,9 @@
 // corpus scan.
 //
 // QueryService answers every TopK through a RetrievalBackend. ExactBackend,
-// the service's default, is the full O(N * d) EmbeddingDatabase scan.
+// the service's default, is the full O(N * d) EmbeddingDatabase scan, split
+// into row chunks that the calling thread and the backend's helper threads
+// claim together.
 // IvfBackend is the ANN path: an IvfIndex prefilter (coarse probe + int8
 // proxy scan) followed by an exact re-rank through
 // EmbeddingDatabase::TopKOf, so its scores are bit-identical to the exact
@@ -24,8 +26,11 @@
 #ifndef NEUTRAJ_RETRIEVAL_BACKEND_H_
 #define NEUTRAJ_RETRIEVAL_BACKEND_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 
+#include "common/thread_pool.h"
 #include "core/embedding_db.h"
 #include "core/search.h"
 #include "nn/matrix.h"
@@ -60,11 +65,17 @@ class RetrievalBackend {
   virtual void AttachMetrics(obs::MetricsRegistry* registry) = 0;
 };
 
-/// The full exact scan — delegates straight to EmbeddingDatabase::TopK.
+/// The full exact scan — EmbeddingDatabase::TopK, its row chunks shared
+/// between the calling thread and this backend's own helper pool.
 class ExactBackend final : public RetrievalBackend {
  public:
-  /// `db` must outlive the backend.
-  explicit ExactBackend(const EmbeddingDatabase* db) : db_(db) {}
+  /// `db` must outlive the backend. `threads` is how many cores the scans
+  /// in flight may use together: each caller scans on its own thread, and
+  /// a pool of `threads - 1` helpers (none for threads <= 1, which scans
+  /// inline) lends each of the c concurrent callers (threads - c) / c of
+  /// them. So one caller gets every idle core, and more than threads / 2
+  /// callers scan inline instead of crowding the cores they already fill.
+  explicit ExactBackend(const EmbeddingDatabase* db, size_t threads = 1);
 
   const char* name() const override { return "exact"; }
   SearchResult TopK(const nn::Vector& query, size_t k, int64_t exclude,
@@ -75,6 +86,9 @@ class ExactBackend final : public RetrievalBackend {
 
  private:
   const EmbeddingDatabase* db_;
+  const size_t threads_;
+  std::unique_ptr<ThreadPool> helpers_;  ///< Null: scan inline.
+  std::atomic<size_t> callers_{0};       ///< TopK calls in flight.
 };
 
 /// IVF prefilter + exact re-rank. Build() must run on a quiesced database

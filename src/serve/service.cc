@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <cmath>
 #include <exception>
 #include <future>
 #include <stdexcept>
@@ -25,12 +26,42 @@ WireFrame Reply(MsgType type, std::string payload) {
   return f;
 }
 
+/// Index of the first point with a NaN or infinite coordinate; t.size()
+/// when there is none.
+size_t FirstNonFinite(const Trajectory& t) {
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (!std::isfinite(t[i].x) || !std::isfinite(t[i].y)) return i;
+  }
+  return t.size();
+}
+
 /// Shared request validation: the encoder rejects empty trajectories, but
 /// the service refuses them up front with a precise message instead of an
-/// internal error.
+/// internal error. A NaN or infinite coordinate is refused too: it encodes
+/// to a non-finite embedding, which as a query scores NaN against every
+/// row and as an insert puts a row into the corpus (and WAL) that no exact
+/// scan can order.
 void CheckTrajectory(const Trajectory& t, const char* what) {
   if (t.empty()) {
     throw std::invalid_argument(std::string(what) + " is empty");
+  }
+  if (const size_t i = FirstNonFinite(t); i != t.size()) {
+    throw std::invalid_argument(std::string(what) +
+                                " has a non-finite coordinate at point " +
+                                std::to_string(i));
+  }
+}
+
+/// A finite trajectory can still encode to a non-finite embedding: on a
+/// region narrower than one unit, a coordinate near the double maximum
+/// normalizes to infinity. Such a vector must reach neither a scan nor the
+/// corpus, for the same reason as a non-finite coordinate.
+void CheckEmbedding(const nn::Vector& e, const char* what) {
+  for (const double v : e) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument(std::string(what) +
+                                  " encodes to a non-finite embedding");
+    }
   }
 }
 
@@ -50,7 +81,7 @@ QueryService::QueryService(const NeuTrajModel& model, EmbeddingDatabase* db,
     : model_(model),
       db_(db),
       store_(store),
-      exact_backend_(db),
+      exact_backend_(db, batch_opts.threads),
       batcher_(model, WithRegistry(batch_opts, &registry_)),
       stats_(&registry_) {
   if (db == nullptr) {
@@ -78,7 +109,8 @@ bool QueryService::CollectEncode(
     return false;
   }
   EncodeRequest req;
-  if (!ParseEncodeRequest(request.payload, &req) || req.traj.empty()) {
+  if (!ParseEncodeRequest(request.payload, &req) || req.traj.empty() ||
+      FirstNonFinite(req.traj) != req.traj.size()) {
     return false;  // Handle() will build the precise error reply.
   }
   group->push_back(std::move(req.traj));
@@ -263,6 +295,7 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       }
       if (req.k > kMaxTopKResults) req.k = kMaxTopKResults;
       const nn::Vector query = batcher_.Encode(req.query, t);
+      CheckEmbedding(query, "query trajectory");
       const SearchResult r =
           backend_->TopK(query, req.k, req.exclude, req.nprobe, t);
       TopKResponse resp;
@@ -289,6 +322,7 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
                           "store is read-only: " + store_->degraded_reason());
       }
       const nn::Vector embedding = batcher_.Encode(req.traj, t);
+      CheckEmbedding(embedding, "trajectory");
       InsertResponse resp;
       if (store_ != nullptr) {
         try {

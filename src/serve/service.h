@@ -147,7 +147,8 @@ class QueryService {
   const NeuTrajModel& model_;
   EmbeddingDatabase* db_;
   store::DurableStore* store_;  ///< Nullable: no durability configured.
-  /// The default backend: the exact scan over db_.
+  /// The default backend: the exact scan over db_, shared with up to
+  /// batch_opts.threads - 1 helper threads of its own.
   retrieval::ExactBackend exact_backend_;
   /// Answers every TopK; exact_backend_ unless set_retrieval_backend
   /// installed another.

@@ -1,16 +1,20 @@
-// Tests for core/: config presets, similarity guidance, sampling and loss.
+// Tests for core/: config presets, similarity guidance, sampling, loss and
+// the embedding scan.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/embedding_db.h"
 #include "core/loss.h"
 #include "core/sampler.h"
 #include "core/search.h"
 #include "core/similarity.h"
+#include "serve/protocol.h"
 #include "test_util.h"
 
 namespace neutraj {
@@ -310,6 +314,72 @@ TEST(EmbeddingDatabaseTest, TopKBreaksDistanceTiesByAscendingId) {
   const SearchResult of = db.TopKOf(query, {3, 4, 2, 0, 1}, 5);
   EXPECT_EQ(of.ids, r.ids);
   EXPECT_EQ(of.dists, r.dists);
+}
+
+/// The algorithm the streaming scan replaced: every row's nn::L2Distance,
+/// then a (distance, ascending id) partial sort.
+SearchResult OracleTopK(const std::vector<nn::Vector>& rows,
+                        const nn::Vector& query, size_t k, int64_t exclude) {
+  std::vector<double> dists(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    dists[i] = nn::L2Distance(rows[i], query);
+  }
+  return TopKByDistance(dists, k, exclude);
+}
+
+TEST(EmbeddingDatabaseTest, ChunkedTopKIsBitIdenticalToTheSortOracle) {
+  constexpr size_t kDim = 64;
+  const size_t chunk = EmbeddingDatabase::ScanChunkRows(kDim);
+  ASSERT_EQ(chunk * kDim * sizeof(double), size_t{1} << 20);
+  Rng rng(313);
+  std::vector<nn::Vector> rows(3 * chunk + chunk / 2, nn::Vector(kDim));
+  for (nn::Vector& r : rows) {
+    for (double& x : r) x = rng.Gaussian(0.0, 1.0);
+  }
+  // Duplicates straddling every chunk boundary: equal distances from any
+  // query, found by different chunks, so only the id tie-break orders them.
+  for (size_t b = chunk; b < rows.size(); b += chunk) {
+    rows[b] = rows[b - 1];
+    rows[b + 1] = rows[b - 1];
+  }
+  // Queries: on a duplicated row (a tie at distance 0), next to one (a tie
+  // at a nonzero distance inside the top few) and a generic point.
+  nn::Vector near = rows[chunk - 1];
+  near[0] += 1e-3;
+  nn::Vector generic(kDim);
+  for (double& x : generic) x = rng.Gaussian(0.0, 1.0);
+  const std::vector<nn::Vector> queries = {rows[2 * chunk - 1], near, generic};
+
+  ThreadPool one(1), two(2), three(3);
+  const std::vector<ThreadPool*> helpers = {nullptr, &one, &two, &three};
+  const int64_t boundary = static_cast<int64_t>(chunk);
+  for (const size_t n :
+       {size_t{0}, size_t{1}, chunk - 1, chunk, chunk + 1, rows.size()}) {
+    const std::vector<nn::Vector> prefix(rows.begin(),
+                                         rows.begin() + static_cast<long>(n));
+    EmbeddingDatabase db;
+    for (const nn::Vector& r : prefix) db.Insert(r);
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{10}, n, n + 3,
+                           size_t{serve::kMaxTopKResults}}) {
+      for (const int64_t exclude : {int64_t{-1}, boundary - 1, boundary}) {
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          const SearchResult want = OracleTopK(prefix, queries[qi], k, exclude);
+          const SearchResult streamed =
+              EmbeddingTopK(prefix, queries[qi], k, exclude);
+          EXPECT_EQ(streamed.ids, want.ids);
+          EXPECT_EQ(streamed.dists, want.dists);
+          for (size_t h = 0; h < helpers.size(); ++h) {
+            const SearchResult got =
+                db.TopK(queries[qi], k, exclude, helpers[h]);
+            ASSERT_EQ(got.ids, want.ids) << "n=" << n << " k=" << k
+                                         << " exclude=" << exclude
+                                         << " query=" << qi << " helpers=" << h;
+            ASSERT_EQ(got.dists, want.dists);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(EmbeddingSimilarityTest, RangeAndMonotonicity) {

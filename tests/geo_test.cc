@@ -123,6 +123,26 @@ TEST(GridTest, OutOfRegionPointsClampToBorder) {
   EXPECT_EQ(g.CellOf(Point(1000, -5)).qy, 0);
 }
 
+TEST(GridTest, HugeFiniteCoordinatesMapToCornerCells) {
+  // (1e300 - min) / cell is out of int64's range, so casting it before the
+  // clamp is undefined; on x86 the cast yields INT64_MIN and +1e300 landed
+  // in cell 0. Clang's UBSan also reports such a cast; GCC's needs
+  // -fsanitize=float-cast-overflow.
+  BoundingBox region = BoundingBox::Empty();
+  region.Extend(Point(0, 0));
+  region.Extend(Point(100, 50));
+  Grid g(region, 10.0);
+  const GridCell hi = g.CellOf(Point(1e300, 1e300));
+  EXPECT_EQ(hi.px, g.num_cols() - 1);
+  EXPECT_EQ(hi.qy, g.num_rows() - 1);
+  const GridCell lo = g.CellOf(Point(-1e300, -1e300));
+  EXPECT_EQ(lo.px, 0);
+  EXPECT_EQ(lo.qy, 0);
+  const GridCell mixed = g.CellOf(Point(-1e300, 1e300));
+  EXPECT_EQ(mixed.px, 0);
+  EXPECT_EQ(mixed.qy, g.num_rows() - 1);
+}
+
 TEST(GridTest, CellCenterRoundTrips) {
   BoundingBox region = BoundingBox::Empty();
   region.Extend(Point(0, 0));

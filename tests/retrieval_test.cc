@@ -442,5 +442,54 @@ TEST(BackendTest, LiveInsertsRacingTopKKeepIdsDenseAndFullProbeExact) {
   }
 }
 
+TEST(BackendTest, ExactHelpersRacingAnInserterMatchTheInlineScan) {
+  // The served exact path under concurrency: two callers share their
+  // chunked scans with the backend's three helper threads (one or more
+  // each: a 4-thread backend lends (4 - c) / c helpers to c callers) while
+  // a writer appends rows. A race target for TSan via the `retrieval`
+  // label.
+  constexpr size_t kDimWide = 32;
+  constexpr size_t kCallers = 2;
+  constexpr size_t kQueriesPerCaller = 24;
+  constexpr size_t kInserts = 400;
+  const size_t chunk = EmbeddingDatabase::ScanChunkRows(kDimWide);
+  const auto rows = GaussianRows(3 * chunk + kInserts, 71, kDimWide);
+  EmbeddingDatabase db = FlatDb(
+      std::vector<nn::Vector>(rows.begin(), rows.end() - kInserts));
+  ExactBackend exact(&db, /*threads=*/4);
+  const auto queries = GaussianRows(kCallers * kQueriesPerCaller, 72, kDimWide);
+
+  std::vector<std::thread> workers;
+  workers.emplace_back([&] {
+    for (size_t row = rows.size() - kInserts; row < rows.size(); ++row) {
+      exact.NotifyInsert(db.Insert(rows[row]), rows[row]);
+    }
+  });
+  for (size_t c = 0; c < kCallers; ++c) {
+    workers.emplace_back([&, c] {
+      for (size_t i = 0; i < kQueriesPerCaller; ++i) {
+        const SearchResult r =
+            exact.TopK(queries[c * kQueriesPerCaller + i], 10, -1, 0);
+        ASSERT_EQ(r.size(), 10u);
+        EXPECT_TRUE(std::is_sorted(r.dists.begin(), r.dists.end()));
+        EXPECT_EQ(std::set<size_t>(r.ids.begin(), r.ids.end()).size(), 10u);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  // Quiesced: the helpers' chunked scan is bit-identical to the inline one.
+  ASSERT_EQ(db.size(), rows.size());
+  for (size_t i = 0; i < kQueriesPerCaller; ++i) {
+    const nn::Vector& q = queries[i];
+    for (const size_t k : {size_t{1}, size_t{10}, rows.size()}) {
+      const SearchResult want = db.TopK(q, k, /*exclude=*/5);
+      const SearchResult got = exact.TopK(q, k, /*exclude=*/5, 0);
+      EXPECT_EQ(got.ids, want.ids);
+      EXPECT_EQ(got.dists, want.dists);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace neutraj::retrieval

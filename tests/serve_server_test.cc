@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -224,6 +225,101 @@ TEST_F(ServerTest, EncodeManyIsolatesPerItemFailures) {
   const HealthResponse health = client.Health();
   EXPECT_TRUE(health.ok);
   EXPECT_EQ(health.status, "serving");
+  client.Close();
+  server.Stop();
+}
+
+TEST_F(ServerTest, NonFiniteCoordinatesAreBadRequestsOnEveryEndpoint) {
+  // A NaN or infinite coordinate encodes to a non-finite embedding: as a
+  // TopK query it scored NaN against every row, and as an insert it put a
+  // NaN row into the corpus that every later exact scan compared. Each
+  // endpoint must refuse it as kBadRequest, keep the connection in
+  // protocol sync and leave the corpus untouched.
+  Server server(&svc_, ServerOptions{});
+  server.Start();
+  Client client = Connect(server);
+  const size_t corpus_size = db_.size();
+  Rng rng(402);
+  const Trajectory good = RandomTrajectory(5, 100.0, &rng);
+
+  auto expect_bad_request = [&](const char* what, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << what << " with a non-finite coordinate was served";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << what;
+    }
+    EXPECT_TRUE(client.Health().ok) << what;  // Still in protocol sync.
+    EXPECT_EQ(db_.size(), corpus_size) << what;
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Trajectory t = good;
+    t[2].x = bad;
+    Trajectory u = good;
+    u[4].y = bad;
+    expect_bad_request("Encode", [&] { client.Encode(t); });
+    expect_bad_request("EncodeMany", [&] { client.EncodeMany({good, u}); });
+    expect_bad_request("PairSim", [&] { client.PairSim(good, u); });
+    expect_bad_request("TopK", [&] { client.TopK(t, 5); });
+    expect_bad_request("Insert", [&] { client.Insert(u); });
+  }
+
+  // A huge but finite coordinate is a valid point: it clamps to a border
+  // grid cell and encodes to a finite embedding.
+  Trajectory far = good;
+  far[1].x = 1e300;
+  for (const double v : client.Encode(far)) EXPECT_TRUE(std::isfinite(v));
+
+  // The service still answers finite requests exactly.
+  nn::CellWorkspace ws;
+  EXPECT_EQ(client.Encode(good), model_.Embed(good, &ws));
+  const TopKResponse got = client.TopK(good, 5);
+  const SearchResult want = db_.TopK(model_.Embed(good, &ws), 5);
+  EXPECT_EQ(got.dists, want.dists);
+  client.Close();
+  server.Stop();
+}
+
+TEST_F(ServerTest, FiniteTrajectoriesWithNonFiniteEmbeddingsAreNotScanned) {
+  // On a region narrower than one unit (degrees of latitude, say), a finite
+  // coordinate near the double maximum normalizes to infinity and encodes
+  // to a NaN embedding. TopK and Insert must refuse it before it reaches a
+  // scan or the corpus.
+  BoundingBox region = BoundingBox::Empty();
+  region.Extend(Point(0.0, 0.0));
+  region.Extend(Point(0.2, 0.2));
+  NeuTrajModel narrow(SmallConfig(), Grid(region, 0.02));
+  Rng rng(7);
+  narrow.InitializeWeights(&rng);
+  EmbeddingDatabase db =
+      EmbeddingDatabase::Build(narrow, RandomCorpus(10, 4, 10, 0.2, &rng), 1);
+  QueryService svc(narrow, &db, BatchOpts());
+  Server server(&svc, ServerOptions{});
+  server.Start();
+  Client client = Connect(server);
+
+  const Trajectory good = RandomTrajectory(5, 0.2, &rng);
+  Trajectory far = good;
+  far[1] = Point(std::numeric_limits<double>::max(),
+                 std::numeric_limits<double>::max());
+  ASSERT_TRUE(std::isnan(narrow.Embed(far)[0]));  // The premise.
+  for (const bool insert : {false, true}) {
+    try {
+      if (insert) {
+        client.Insert(far);
+      } else {
+        client.TopK(far, 3);
+      }
+      ADD_FAILURE() << (insert ? "Insert" : "TopK") << " was served";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+    }
+    EXPECT_TRUE(client.Health().ok);
+    EXPECT_EQ(db.size(), 10u);
+  }
+  EXPECT_EQ(client.TopK(good, 3).dists.size(), 3u);
   client.Close();
   server.Stop();
 }

@@ -18,8 +18,13 @@
 //                  [--trace-sample-every N] [--slow-query-log F]
 //                  [--slow-query-threshold-us U]
 //
-// --port 0 (default) picks an ephemeral port; --port-file writes the bound
-// port for scripts (see tools/serve_smoke_test.sh). --save-db persists the
+// --threads N (default 4) is the cores the server spends per request
+// stage: N encode workers in the micro-batcher, and with --retrieval exact
+// an exact TopK scan split across the calling thread plus up to N-1
+// helpers (shared among the scans in flight, so callers plus helpers never
+// outnumber N and a busy server scans each query on its own thread). --port 0 (default) picks an ephemeral
+// port; --port-file writes the bound port for scripts (see
+// tools/serve_smoke_test.sh). --save-db persists the
 // final corpus embeddings (including live inserts) on shutdown.
 //
 // --retrieval ivf answers TopK through an IVF ANN index (src/retrieval/):
@@ -107,7 +112,9 @@ void PrintUsage() {
       "               [--retrieval exact|ivf] [--ivf-nlist N]\n"
       "               [--ivf-nprobe N] [--ivf-seed S]\n"
       "               [--trace-sample-every N] [--slow-query-log F]\n"
-      "               [--slow-query-threshold-us U]\n");
+      "               [--slow-query-threshold-us U]\n"
+      "  --threads N  encode workers, and the cores the exact TopK\n"
+      "               scans in flight share (default 4)\n");
 }
 
 int Run(const Args& args) {
