@@ -268,8 +268,6 @@ ReqTraceTiming BenchReqTrace() {
   serve::MicroBatcher::Options opts;
   opts.threads = 2;
   opts.max_batch = 1;
-  opts.max_wait_micros = 0;  // A blocking caller never has stragglers to
-                             // wait for; a window would just add idle time.
   serve::MicroBatcher batcher(model, opts);
 
   constexpr int kRounds = 5;

@@ -3,12 +3,11 @@
 //
 // Phases 1-2 start a real loopback server twice against the same model +
 // corpus:
-//   - unbatched baseline: max_batch=1, no straggler window, one sequential
-//     client issuing single Encode requests back to back — the
-//     one-request-at-a-time cost every serving stack starts from;
-//   - batched: max_batch=32 with a 200us straggler window and 8 concurrent
-//     clients driving the pipelined EncodeMany path, so bursts coalesce
-//     into real batches.
+//   - unbatched baseline: max_batch=1, one sequential client issuing single
+//     Encode requests back to back — the one-request-at-a-time cost every
+//     serving stack starts from;
+//   - batched: max_batch=64 and 8 concurrent clients driving the pipelined
+//     EncodeMany path, so bursts coalesce into real batches.
 // Trajectories are kept short so the per-request transport + dispatch
 // overhead — the cost micro-batching amortizes — is visible next to the
 // O(L d^2) encode compute; that ratio, not raw model speed, is what this
@@ -33,11 +32,18 @@
 // path, and records the knobs (nlist, nprobe, rerank, seed, kernel) next to
 // the numbers in BENCH_serving.json.
 //
-// Phase 5 is the request-tracing overhead gate: the batched phase re-run
-// with the tracer configured off and again with 1-in-64 head sampling.
-// Tracing off must cost <= 1% against the phase-2 baseline (the same
-// configuration — this bounds the sampler's fast path, one branch per
-// request, at the measurement noise floor) and 1-in-64 sampling <= 2%.
+// Phase 5 is the request-tracing overhead gate. Two servers in the batched
+// configuration share the host, each fed by half the pipelined clients,
+// for a 5 s run of 50 ms slices; each slice swaps which server runs the
+// probed tracing options and which the reference ones. Each server's
+// bursts under the reference over its bursts under the probe, combined
+// over both servers, is free of either server's bias and of the host's
+// drift, which back-to-back 30 ms phases were not (identical
+// configurations read 0% and 30% apart). Each gate is the median of 9
+// runs. Tracing off must cost <= 1% against tracing off (an A/A
+// comparison: it bounds the sampler's fast path, one branch per request,
+// at the method's noise floor) and 1-in-64 sampling <= 2% against tracing
+// off.
 // The phase also pins that served bytes are bit-identical with a sampled
 // trace context attached versus none: the serialized replies to the same
 // query must match byte for byte.
@@ -47,6 +53,8 @@
 // budget, and traced/untraced served bytes identical.
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -63,7 +71,10 @@ using namespace neutraj;
 
 constexpr size_t kEmbeddingDim = 8;
 constexpr size_t kMaxTrajLen = 4;
-constexpr size_t kPhaseRepeats = 5;  ///< Best-of, after one warm-up run.
+constexpr size_t kPhaseRepeats = 5;   ///< Best-of, after one warm-up run.
+constexpr size_t kTraceRepeats = 9;   ///< Phase 5's runs per gate.
+constexpr size_t kTraceSlices = 100;  ///< Slices per phase-5 run.
+constexpr uint64_t kTraceSliceMillis = 50;
 const size_t kServerThreads =
     std::max<size_t>(1, std::thread::hardware_concurrency());
 constexpr size_t kConcurrentClients = 8;
@@ -94,11 +105,33 @@ struct PhaseResult {
   double p99_micros = 0.0;
 };
 
-/// Runs one serving phase: spins up a server with the given batching
-/// options, hammers it with `clients` threads, and tears it down.
+/// A loopback server over its own QueryService, up for its lifetime.
+class LiveServer {
+ public:
+  LiveServer(const NeuTrajModel& model, EmbeddingDatabase* db,
+             const serve::MicroBatcher::Options& batch_opts,
+             uint32_t trace_sample_every)
+      : service_(model, db, batch_opts),
+        server_(&service_, serve::ServerOptions{}) {
+    if (trace_sample_every > 0) {
+      obs::ReqTraceOptions topts;
+      topts.sample_every = trace_sample_every;
+      service_.ConfigureTracing(topts);
+    }
+    server_.Start();
+  }
+
+  uint16_t port() const { return server_.port(); }
+  serve::QueryService& service() { return service_; }
+
+ private:
+  serve::QueryService service_;
+  serve::Server server_;
+};
+
+/// One timed pass: `clients` threads, each issuing its share of requests.
 /// Pipelined clients send EncodeMany bursts; sequential clients send one
 /// Encode at a time.
-/// One timed pass: `clients` threads, each issuing its share of requests.
 double TimedPass(const std::vector<Trajectory>& corpus, uint16_t port,
                  size_t clients, bool pipelined) {
   Stopwatch sw;
@@ -129,21 +162,15 @@ double TimedPass(const std::vector<Trajectory>& corpus, uint16_t port,
   return sw.ElapsedSeconds();
 }
 
+/// Runs one serving phase: spins up a server with the given batching
+/// options, hammers it with `clients` threads, and tears it down.
 PhaseResult RunPhase(const std::string& name, const NeuTrajModel& model,
                      EmbeddingDatabase* db,
                      const std::vector<Trajectory>& corpus, size_t clients,
                      bool pipelined,
-                     const serve::MicroBatcher::Options& batch_opts,
-                     uint32_t trace_sample_every = 0) {
-  serve::QueryService service(model, db, batch_opts);
-  if (trace_sample_every > 0) {
-    obs::ReqTraceOptions topts;
-    topts.sample_every = trace_sample_every;
-    service.ConfigureTracing(topts);
-  }
-  serve::Server server(&service, serve::ServerOptions{});
-  server.Start();
-  const uint16_t port = server.port();
+                     const serve::MicroBatcher::Options& batch_opts) {
+  LiveServer live(model, db, batch_opts, /*trace_sample_every=*/0);
+  const uint16_t port = live.port();
 
   const size_t total = clients * kBurstSize * kBurstsPerClient;
   // Warm-up pass (connections, allocator, branch history), then best-of-N
@@ -155,8 +182,7 @@ PhaseResult RunPhase(const std::string& name, const NeuTrajModel& model,
     best = std::min(best, TimedPass(corpus, port, clients, pipelined));
   }
 
-  const serve::StatsSnapshot snap = service.Snapshot();
-  server.Stop();
+  const serve::StatsSnapshot snap = live.service().Snapshot();
 
   PhaseResult r;
   r.name = name;
@@ -179,6 +205,104 @@ PhaseResult RunPhase(const std::string& name, const NeuTrajModel& model,
               r.name.c_str(), r.clients, r.requests, r.seconds, r.qps,
               r.p50_micros, r.p99_micros, r.mean_batch,
               static_cast<unsigned long long>(r.batches));
+  return r;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// One phase-5 measurement: servers x and y share the host, each fed by
+/// half the pipelined clients, for `slices` slices of kTraceSliceMillis.
+/// Slices swap which server runs `probe` and which runs `ref` in the order
+/// x, y, y, x, x, ... — so a linear drift cancels too — while the clients
+/// run (Configure is safe during traffic). Returns the geometric mean over both
+/// servers of bursts completed under `ref` over bursts under `probe`: each
+/// server is compared with itself, and at every moment the host carries one
+/// server of each configuration, so neither a bias of one server nor drift
+/// of the host moves the ratio.
+double AlternatingRatio(const std::vector<Trajectory>& corpus, LiveServer* x,
+                        LiveServer* y, const obs::ReqTraceOptions& probe,
+                        const obs::ReqTraceOptions& ref, size_t slices) {
+  LiveServer* servers[2] = {x, y};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> done[2] = {0, 0};
+  std::vector<std::thread> workers;
+  workers.reserve(kConcurrentClients);
+  for (size_t c = 0; c < kConcurrentClients; ++c) {
+    workers.emplace_back([&, c] {
+      const size_t side = c % 2;
+      serve::Client client;
+      client.Connect("127.0.0.1", servers[side]->port());
+      std::vector<Trajectory> burst(kBurstSize);
+      for (size_t b = 0; !stop.load(); ++b) {
+        for (size_t i = 0; i < kBurstSize; ++i) {
+          burst[i] = corpus[((c + b) * kBurstSize + i) % corpus.size()];
+        }
+        client.EncodeMany(burst);
+        done[side].fetch_add(1);
+      }
+    });
+  }
+  // bursts[side][0] under ref, bursts[side][1] under probe.
+  double bursts[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
+  for (size_t slice = 0; slice < slices; ++slice) {
+    const size_t probe_side = (slice + 1) / 2 % 2;
+    servers[probe_side]->service().ConfigureTracing(probe);
+    servers[1 - probe_side]->service().ConfigureTracing(ref);
+    const uint64_t start[2] = {done[0].load(), done[1].load()};
+    SleepForMillis(kTraceSliceMillis);
+    for (size_t side = 0; side < 2; ++side) {
+      bursts[side][side == probe_side ? 1 : 0] +=
+          static_cast<double>(done[side].load() - start[side]);
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : workers) t.join();
+  return std::sqrt((bursts[0][0] / bursts[0][1]) * (bursts[1][0] / bursts[1][1]));
+}
+
+struct TraceResult {
+  double off_overhead = 0.0;      ///< Median ratio - 1, clamped at 0.
+  double sampled_overhead = 0.0;  ///< Likewise, 1-in-64 against off.
+  // Smallest and largest run's ratio - 1.
+  std::array<double, 2> off_range = {0.0, 0.0};
+  std::array<double, 2> sampled_range = {0.0, 0.0};
+};
+
+/// Phase 5: tracing off against tracing off (an A/A run: the method's noise
+/// floor), and 1-in-64 sampling against tracing off, each the median of
+/// kTraceRepeats alternating measurements after one warm-up.
+TraceResult RunTracingPhase(const NeuTrajModel& model, EmbeddingDatabase* db,
+                            const std::vector<Trajectory>& corpus,
+                            const serve::MicroBatcher::Options& batch_opts) {
+  LiveServer x(model, db, batch_opts, /*trace_sample_every=*/0);
+  LiveServer y(model, db, batch_opts, /*trace_sample_every=*/0);
+  const obs::ReqTraceOptions off;
+  obs::ReqTraceOptions sampled;
+  sampled.sample_every = 64;
+
+  AlternatingRatio(corpus, &x, &y, off, off, kTraceSlices / 4);  // Warm-up.
+  std::vector<double> off_ratio;
+  std::vector<double> sampled_ratio;
+  for (size_t rep = 0; rep < kTraceRepeats; ++rep) {
+    off_ratio.push_back(AlternatingRatio(corpus, &x, &y, off, off, kTraceSlices));
+    sampled_ratio.push_back(
+        AlternatingRatio(corpus, &x, &y, sampled, off, kTraceSlices));
+  }
+
+  auto range = [](const std::vector<double>& v) {
+    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+    return std::array<double, 2>{*lo - 1.0, *hi - 1.0};
+  };
+  TraceResult r;
+  r.off_range = range(off_ratio);
+  r.sampled_range = range(sampled_ratio);
+  // A ratio below 1 is noise, not a negative cost.
+  r.off_overhead = std::max(0.0, Median(off_ratio) - 1.0);
+  r.sampled_overhead = std::max(0.0, Median(sampled_ratio) - 1.0);
   return r;
 }
 
@@ -402,18 +526,15 @@ int main() {
   serve::MicroBatcher::Options unbatched;
   unbatched.threads = kServerThreads;
   unbatched.max_batch = 1;
-  unbatched.max_wait_micros = 0;
   const PhaseResult base =
       RunPhase("unbatched", model, &db, data.trajectories, 1,
                /*pipelined=*/false, unbatched);
 
-  std::printf("[2/5] micro-batched (batch=%zu, wait=200us, %zu pipelined "
-              "clients)\n",
+  std::printf("[2/5] micro-batched (batch=%zu, %zu pipelined clients)\n",
               kBurstSize, kConcurrentClients);
   serve::MicroBatcher::Options batched;
   batched.threads = kServerThreads;
   batched.max_batch = kBurstSize;
-  batched.max_wait_micros = 200;
   const PhaseResult fast =
       RunPhase("batched", model, &db, data.trajectories, kConcurrentClients,
                /*pipelined=*/true, batched);
@@ -426,34 +547,23 @@ int main() {
               kRetrievalCorpus, kEmbeddingDim, kRetrievalQueries, kRetrievalK);
   const RetrievalResult ret = RunRetrievalPhase();
 
-  std::printf("[5/5] request-tracing overhead (batched phase re-run)\n");
-  const PhaseResult trace_off =
-      RunPhase("trace-off", model, &db, data.trajectories,
-               kConcurrentClients, /*pipelined=*/true, batched);
-  const PhaseResult trace_sampled =
-      RunPhase("trace-1/64", model, &db, data.trajectories,
-               kConcurrentClients, /*pipelined=*/true, batched,
-               /*trace_sample_every=*/64);
-  // Overheads are clamped at zero: a re-run beating its baseline is noise,
-  // not a negative cost.
-  const double off_overhead = std::max(0.0, fast.qps / trace_off.qps - 1.0);
-  const double sampled_overhead =
-      std::max(0.0, trace_off.qps / trace_sampled.qps - 1.0);
+  std::printf("[5/5] request-tracing overhead (batched phase, median of %zu "
+              "runs of %zu alternating %llu ms slices)\n",
+              kTraceRepeats, kTraceSlices,
+              static_cast<unsigned long long>(kTraceSliceMillis));
+  const TraceResult tr = RunTracingPhase(model, &db, data.trajectories, batched);
+  const double off_overhead = tr.off_overhead;
+  const double sampled_overhead = tr.sampled_overhead;
 
   // Served-bytes identity: the same query answered with a sampled trace
   // context and with none must serialize to the same reply bytes.
   bool served_identical = true;
   {
-    serve::QueryService service(model, &db, batched);
-    obs::ReqTraceOptions topts;
-    topts.sample_every = 1;
-    service.ConfigureTracing(topts);
-    serve::Server server(&service, serve::ServerOptions{});
-    server.Start();
+    LiveServer live(model, &db, batched, /*trace_sample_every=*/1);
     serve::Client plain;
     serve::Client traced;
-    plain.Connect("127.0.0.1", server.port());
-    traced.Connect("127.0.0.1", server.port());
+    plain.Connect("127.0.0.1", live.port());
+    traced.Connect("127.0.0.1", live.port());
     traced.set_trace_context({0x5eed1234, /*sampled=*/true});
     for (size_t i = 0; i < 32; ++i) {
       const Trajectory& t = data.trajectories[i % data.trajectories.size()];
@@ -465,13 +575,14 @@ int main() {
     }
     plain.Close();
     traced.Close();
-    server.Stop();
   }
-  std::printf("  trace-off  %8.1f qps  (%.2f%% vs batched baseline)\n",
-              trace_off.qps, off_overhead * 100.0);
-  std::printf("  trace-1/64 %8.1f qps  (%.2f%% vs trace-off)  "
+  std::printf("  trace-off   %.2f%% vs trace-off (A/A; runs %+.2f%% .. %+.2f%%)\n",
+              off_overhead * 100.0, tr.off_range[0] * 100.0,
+              tr.off_range[1] * 100.0);
+  std::printf("  trace-1/64  %.2f%% vs trace-off (runs %+.2f%% .. %+.2f%%)  "
               "served bytes identical: %s\n",
-              trace_sampled.qps, sampled_overhead * 100.0,
+              sampled_overhead * 100.0, tr.sampled_range[0] * 100.0,
+              tr.sampled_range[1] * 100.0,
               served_identical ? "yes" : "NO");
 
   const double speedup = fast.qps / base.qps;
@@ -505,11 +616,14 @@ int main() {
   }
   std::fprintf(f, "  ],\n  \"speedup\": %.3f,\n", speedup);
   std::fprintf(f,
-               "  \"tracing\": {\"off_qps\": %.1f, \"sampled64_qps\": %.1f, "
+               "  \"tracing\": {\"runs\": %zu, \"slices\": %zu, "
+               "\"slice_ms\": %llu, "
                "\"off_overhead\": %.4f, \"sampled64_overhead\": %.4f, "
                "\"served_bytes_identical\": %s},\n",
-               trace_off.qps, trace_sampled.qps, off_overhead,
-               sampled_overhead, served_identical ? "true" : "false");
+               kTraceRepeats, kTraceSlices,
+               static_cast<unsigned long long>(kTraceSliceMillis),
+               off_overhead, sampled_overhead,
+               served_identical ? "true" : "false");
   std::fprintf(f,
                "  \"durable_inserts\": %zu,\n  \"insert_plain_qps\": %.1f,\n"
                "  \"insert_durable_qps\": %.1f,\n"

@@ -31,15 +31,6 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// An absolute steady-clock deadline `micros` from now, for
-/// CondVar::WaitUntil. This (plus Stopwatch) is the sanctioned way to
-/// handle time outside src/obs/ — tools/lint.sh rule 5 bans ad-hoc
-/// std::chrono timing in the serving and retrieval layers.
-inline std::chrono::steady_clock::time_point DeadlineAfterMicros(
-    int64_t micros) {
-  return std::chrono::steady_clock::now() + std::chrono::microseconds(micros);
-}
-
 /// Blocking sleep for backoff loops (e.g. the client's connect retries) —
 /// the sanctioned wrapper that keeps raw std::chrono durations out of the
 /// serving layer (tools/lint.sh rule 5).

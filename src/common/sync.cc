@@ -79,12 +79,4 @@ void CondVar::Wait(Mutex& mu) {
   native.release();
 }
 
-bool CondVar::WaitUntil(Mutex& mu,
-                        std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-  const std::cv_status status = cv_.wait_until(native, deadline);
-  native.release();
-  return status == std::cv_status::no_timeout;
-}
-
 }  // namespace neutraj

@@ -53,7 +53,6 @@
 #ifndef NEUTRAJ_COMMON_SYNC_H_
 #define NEUTRAJ_COMMON_SYNC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -331,11 +330,6 @@ class CondVar {
 
   /// Blocks until notified (spurious wakeups possible — always loop).
   void Wait(Mutex& mu) NEUTRAJ_REQUIRES(mu);
-
-  /// Blocks until notified or `deadline` (steady clock) passes. Returns
-  /// false on timeout. Spurious wakeups possible — always loop.
-  bool WaitUntil(Mutex& mu, std::chrono::steady_clock::time_point deadline)
-      NEUTRAJ_REQUIRES(mu);
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

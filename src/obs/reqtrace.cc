@@ -17,7 +17,8 @@ namespace {
 /// lines are schema-stable and jq/pandas-friendly. Stages outside this
 /// list (future subsystems) sum into "other_us".
 constexpr const char* kSlowLogStages[] = {
-    "queue_wait", "encode", "scan", "probe", "rerank", "wal", "reply",
+    "queue_wait", "encode", "scan",    "probe", "rerank",
+    "store_wait", "wal",    "compact", "reply",
 };
 
 /// splitmix64: spreads a dense counter over the id space so trace ids are
@@ -69,6 +70,7 @@ void RequestTracer::Configure(const ReqTraceOptions& opts) {
     slow_log_ = nullptr;
   }
   opts_ = opts;
+  sample_every_.store(opts_.sample_every, std::memory_order_relaxed);
   if (opts_.ring_capacity == 0) opts_.ring_capacity = 1;
   while (ring_.size() > opts_.ring_capacity) ring_.pop_front();
   if (!opts_.slow_log_path.empty()) {
@@ -90,7 +92,7 @@ std::shared_ptr<RequestTrace> RequestTracer::Begin(
     if (!client_ctx.sampled) return nullptr;
     ctx = client_ctx;
   } else {
-    const uint32_t every = opts_.sample_every;
+    const uint32_t every = sample_every_.load(std::memory_order_relaxed);
     if (every == 0) return nullptr;  // Tracing off: one load, one branch.
     if (sample_seq_.fetch_add(1, std::memory_order_relaxed) % every != 0) {
       return nullptr;

@@ -216,12 +216,11 @@ class RequestTracer {
   RequestTracer(const RequestTracer&) = delete;
   RequestTracer& operator=(const RequestTracer&) = delete;
 
-  /// Applies knobs (opens/closes the slow-query log). Not thread-safe
-  /// against in-flight requests — call before serving. Throws
-  /// std::runtime_error when slow_log_path cannot be created.
+  /// Applies knobs (opens/closes the slow-query log). Safe while serving:
+  /// Begin reads the sampling rate from an atomic, and everything else is
+  /// read under mu_. Throws std::runtime_error when slow_log_path cannot be
+  /// created.
   void Configure(const ReqTraceOptions& opts) NEUTRAJ_EXCLUDES(mu_);
-
-  const ReqTraceOptions& options() const { return opts_; }
 
   /// The per-request sampling gate. Returns a live trace for a sampled
   /// request (client-forced or 1-in-N head-sampled with a server-generated
@@ -241,9 +240,10 @@ class RequestTracer {
 
  private:
   MetricsRegistry* registry_;
-  ReqTraceOptions opts_;
-  std::atomic<uint64_t> sample_seq_{0};  ///< Head-sampling counter.
-  std::atomic<uint64_t> id_seq_{0};      ///< Server-generated id source.
+  ReqTraceOptions opts_ NEUTRAJ_GUARDED_BY(mu_);
+  std::atomic<uint32_t> sample_every_{0};  ///< opts_.sample_every for Begin.
+  std::atomic<uint64_t> sample_seq_{0};    ///< Head-sampling counter.
+  std::atomic<uint64_t> id_seq_{0};        ///< Server-generated id source.
 
   // Resolved once; hammered lock-free on the Finish path.
   ConcurrentHistogram* total_us_hist_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/stopwatch.h"
-
 namespace neutraj::serve {
 
 MicroBatcher::MicroBatcher(const NeuTrajModel& model, const Options& opts)
@@ -16,7 +14,6 @@ MicroBatcher::MicroBatcher(const NeuTrajModel& model, const Options& opts)
                                   ? *opts_.registry
                                   : obs::MetricsRegistry::Global();
   batch_size_hist_ = &reg.GetHistogram("serve/batcher/batch_size");
-  wait_us_hist_ = &reg.GetHistogram("serve/batcher/wait_us");
   requests_counter_ = &reg.GetCounter("serve/batcher/requests");
   batches_counter_ = &reg.GetCounter("serve/batcher/batches");
   if (model.config().update_memory_at_inference) {
@@ -98,26 +95,11 @@ void MicroBatcher::BatcherLoop() {
   std::vector<Item> batch;
   while (true) {
     batch.clear();
-    double waited_us = 0.0;
     size_t take = 0;
     {
       MutexLock lock(mu_);
       while (!shutdown_ && queue_.empty()) work_ready_.Wait(mu_);
       if (queue_.empty() && shutdown_) return;
-
-      // Straggler window: once work exists, give concurrent submitters a
-      // short chance to join this batch. Bounded by max_batch so a firehose
-      // never waits, and skipped entirely during shutdown (drain fast).
-      if (opts_.max_wait_micros > 0 && !shutdown_ &&
-          queue_.size() < opts_.max_batch) {
-        const Stopwatch wait_sw;
-        const auto deadline = DeadlineAfterMicros(opts_.max_wait_micros);
-        while (queue_.size() < opts_.max_batch && !shutdown_) {
-          if (!work_ready_.WaitUntil(mu_, deadline)) break;
-        }
-        waited_us = wait_sw.ElapsedMicros();
-      }
-
       take = std::min(queue_.size(), opts_.max_batch);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {
@@ -129,7 +111,6 @@ void MicroBatcher::BatcherLoop() {
     }
     batches_counter_->Increment();
     batch_size_hist_->Record(static_cast<double>(take));
-    wait_us_hist_->Record(waited_us);
     RunBatch(&batch);
   }
 }

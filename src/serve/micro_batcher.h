@@ -4,14 +4,15 @@
 // Insert) funnels through one MicroBatcher instead of calling
 // NeuTrajModel::Embed directly. Callers enqueue whole groups of
 // trajectories and block on one future per group; a dedicated batcher
-// thread coalesces whatever has queued up — waiting at most
-// `max_wait_micros` for stragglers once the first item arrives — and
-// executes the batch across a persistent ThreadPool with one
-// CellWorkspace per worker. Under load this amortizes wake-ups,
-// scheduling, synchronization, and workspace locality over many requests;
-// an idle server degenerates to batch-size 1 with at most one wait-window
-// of added latency. The per-group (not per-item) promise matters on the
-// hot path: a pipelined 64-request burst costs one future, not 64.
+// thread takes up to `max_batch` queued items the moment any exist and
+// executes them across a persistent ThreadPool with one CellWorkspace per
+// worker. Items that arrive while a batch runs queue up and form the next
+// batch, so there is no timer: an idle batcher dispatches at once, and a
+// loaded one batches exactly what queued behind the running batch. Under
+// load this amortizes wake-ups, scheduling, synchronization, and workspace
+// locality over many requests. The per-group (not per-item) promise
+// matters on the hot path: a pipelined 64-request burst costs one future,
+// not 64.
 //
 // Batching is an execution detail, not a semantic one: each trajectory is
 // embedded independently with read-only inference, so results are
@@ -43,13 +44,11 @@ namespace neutraj::serve {
 class MicroBatcher {
  public:
   struct Options {
-    size_t threads = 1;          ///< ThreadPool workers per batch.
-    size_t max_batch = 32;       ///< Hard cap on one batch's size.
-    int64_t max_wait_micros = 200;  ///< Straggler window after the first
-                                    ///< item of a batch arrives; 0 = none.
-    /// Where batcher metrics (batch-size distribution, straggler waits,
-    /// request/batch counters) register. nullptr = the process-global
-    /// registry; QueryService points this at its own instance.
+    size_t threads = 1;     ///< ThreadPool workers per batch.
+    size_t max_batch = 32;  ///< Hard cap on one batch's size.
+    /// Where batcher metrics (batch-size distribution, request/batch
+    /// counters) register. nullptr = the process-global registry;
+    /// QueryService points this at its own instance.
     obs::MetricsRegistry* registry = nullptr;
   };
 
@@ -145,11 +144,8 @@ class MicroBatcher {
   Stats stats_ NEUTRAJ_GUARDED_BY(mu_);
 
   // Registry-owned metrics, resolved once in the constructor. batch_size_
-  // records how many items each executed batch carried; wait_us_ records the
-  // straggler window actually spent per batch (0 when the queue was already
-  // full or the window is disabled).
+  // records how many items each executed batch carried.
   obs::ConcurrentHistogram* batch_size_hist_;
-  obs::ConcurrentHistogram* wait_us_hist_;
   obs::Counter* requests_counter_;
   obs::Counter* batches_counter_;
 

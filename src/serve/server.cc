@@ -272,8 +272,7 @@ void Server::ConnectionLoop(int fd) {
       burst.push_back(std::move(slot));
     }
     // Dispatch the encode group first: other handlers in the burst (TopK,
-    // Insert, PairSim) block on their own embeddings and would otherwise
-    // delay the group past the straggler window.
+    // Insert, PairSim) block on their own embeddings.
     auto pending =
         service_->BeginEncodes(std::move(group), std::move(group_traces));
     std::string out;

@@ -256,9 +256,9 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       *trace = tracer_.Begin(req.trace, "pairsim");
       CheckTrajectory(req.a, "trajectory a");
       CheckTrajectory(req.b, "trajectory b");
-      // One two-item group: both trajectories share a batch (and one
-      // future) instead of paying two straggler windows. Both items record
-      // into the one request trace (two encode spans, possibly two threads).
+      // One two-item group: both trajectories share a batch and one
+      // future. Both items record into the one request trace (two encode
+      // spans, possibly two threads).
       std::vector<Trajectory> pair;
       pair.reserve(2);
       pair.push_back(std::move(req.a));

@@ -1,6 +1,8 @@
 #include "store/durable_store.h"
 
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -130,7 +132,9 @@ DurableStore::RecoveryInfo DurableStore::Open() {
 size_t DurableStore::Insert(const nn::Vector& embedding,
                             obs::RequestTrace* trace) {
   Stopwatch sw;
+  obs::StageSpan wait_span(trace, "store_wait");
   MutexLock lock(mu_);
+  wait_span.Stop();
   if (!opened_) throw StoreError("DurableStore: Insert before Open");
   if (degraded_.load()) {
     throw StoreError("DurableStore: store is read-only (degraded): " +
@@ -139,6 +143,15 @@ size_t DurableStore::Insert(const nn::Vector& embedding,
   // All corpus mutations are serialized through mu_, so the id the
   // database will assign is its current size.
   const uint64_t seq = db_->size();
+  // Reject what the database would reject before anything is logged: a
+  // logged record the database refuses would stop every later replay at
+  // it, losing the acknowledged inserts behind it.
+  if (embedding.empty() || (seq > 0 && embedding.size() != db_->dim())) {
+    throw std::invalid_argument(
+        "DurableStore::Insert: embedding dimension " +
+        std::to_string(embedding.size()) + " != database dimension " +
+        std::to_string(db_->dim()));
+  }
   obs::StageSpan wal_span(trace, "wal");
   try {
     wal_->Append({seq, embedding});
@@ -157,6 +170,7 @@ size_t DurableStore::Insert(const nn::Vector& embedding,
   live_wal_records_->Set(static_cast<double>(wal_records_));
 
   if (opts_.compact_every > 0 && wal_records_ >= opts_.compact_every) {
+    obs::StageSpan compact_span(trace, "compact");
     try {
       CompactLocked();
     } catch (const StoreError& e) {

@@ -94,11 +94,15 @@ class DurableStore {
 
   /// Durably logs and applies one insert; returns the assigned corpus id.
   /// Throws StoreError (without applying) if the store is degraded or the
-  /// append fails — an insert that was not logged is never acknowledged.
+  /// append fails — an insert that was not logged is never acknowledged —
+  /// and std::invalid_argument, logging nothing, for an empty embedding or
+  /// one whose width differs from a non-empty database's.
   /// WAL-then-db ordering is enforced under mu_: the record is appended and
   /// synced before EmbeddingDatabase::Insert runs (store rank < db rank).
-  /// `trace` (nullable) gets a "wal" span around the append + sync —
-  /// recording is lock-free, so it is safe under mu_.
+  /// `trace` (nullable) gets a "store_wait" span until mu_ is acquired, a
+  /// "wal" span around the append + sync, and a "compact" span around the
+  /// compaction this insert triggers, if any — recording is lock-free, so
+  /// it is safe under mu_.
   size_t Insert(const nn::Vector& embedding,
                 obs::RequestTrace* trace = nullptr) NEUTRAJ_EXCLUDES(mu_);
 

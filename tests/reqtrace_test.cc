@@ -238,7 +238,8 @@ TEST(RequestTracerTest, SlowQueryLogWritesGoldenJsonlLine) {
             "{\"endpoint\": \"topk\", \"trace_id\": \"00000000deadbeef\", "
             "\"total_us\": 1500, \"queue_wait_us\": 100, \"encode_us\": 400, "
             "\"scan_us\": 0, \"probe_us\": 800, \"rerank_us\": 150, "
-            "\"wal_us\": 0, \"reply_us\": 25, \"other_us\": 75, "
+            "\"store_wait_us\": 0, \"wal_us\": 0, \"compact_us\": 0, "
+            "\"reply_us\": 25, \"other_us\": 75, "
             "\"spans\": 6}");
   std::remove(path.c_str());
 }

@@ -3,9 +3,12 @@
 // micro_batcher, the query service dispatch, and the serving stats —
 // including malformed-frame and fuzzed-payload robustness.
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +24,7 @@
 #include "core/similarity.h"
 #include "geo/grid.h"
 #include "obs/metrics.h"
+#include "obs/reqtrace.h"
 #include "serve/micro_batcher.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
@@ -869,7 +873,6 @@ TEST(MicroBatcherTest, GroupsSplitAcrossSmallBatchesStayCorrect) {
   const NeuTrajModel model = MakeModel();
   MicroBatcher::Options opts;
   opts.max_batch = 3;
-  opts.max_wait_micros = 0;
   MicroBatcher batcher(model, opts);
   Rng rng(13);
   std::vector<Trajectory> trajs;
@@ -943,6 +946,59 @@ TEST(MicroBatcherTest, RejectsInvalidConfigurations) {
   MicroBatcher::Options zero_batch;
   zero_batch.max_batch = 0;
   EXPECT_THROW(MicroBatcher(model, zero_batch), std::invalid_argument);
+}
+
+TEST(MicroBatcherTest, IdleBatcherDispatchesAtOnce) {
+  const NeuTrajModel model = MakeModel();
+  MicroBatcher batcher(model, MicroBatcher::Options{});
+  obs::MetricsRegistry registry;
+  obs::RequestTracer tracer(&registry);
+  Rng rng(19);
+  double min_wait_us = 1e300;
+  for (uint64_t i = 1; i <= 20; ++i) {
+    auto trace = std::make_shared<obs::RequestTrace>(
+        obs::TraceContext{i, /*sampled=*/true}, "encode");
+    batcher.Encode(RandomTrajectory(8, 100.0, &rng), trace.get());
+    tracer.Finish(trace);
+    const std::vector<obs::FinishedTrace> last = tracer.Dump(1);
+    for (const obs::FinishedSpan& span : last[0].spans) {
+      if (span.stage == "queue_wait") {
+        min_wait_us = std::min(min_wait_us, span.dur_us);
+      }
+    }
+  }
+  // A lone item on an idle batcher is not held back waiting for company;
+  // the best of 20 only pays the batcher thread's wake-up.
+  EXPECT_LT(min_wait_us, 200.0);
+}
+
+TEST(MicroBatcherTest, ItemsQueuedBehindARunningBatchShipTogether) {
+  const NeuTrajModel model = MakeModel();
+  MicroBatcher batcher(model, MicroBatcher::Options{});
+  Rng rng(23);
+  std::vector<Trajectory> slow;
+  slow.push_back(RandomTrajectory(200000, 100.0, &rng));
+  std::future<MicroBatcher::BatchResult> slow_result =
+      batcher.SubmitBatch(std::move(slow));
+  // Batch 1 (the slow item alone) is counted when the batcher takes it.
+  while (batcher.stats().batches == 0) std::this_thread::yield();
+
+  std::vector<std::future<MicroBatcher::BatchResult>> quick;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<Trajectory> one;
+    one.push_back(RandomTrajectory(6, 100.0, &rng));
+    quick.push_back(batcher.SubmitBatch(std::move(one)));
+  }
+  ASSERT_NE(slow_result.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "the slow item finished before the quick ones were queued";
+  EXPECT_TRUE(slow_result.get().errors[0].empty());
+  for (auto& f : quick) EXPECT_TRUE(f.get().errors[0].empty());
+
+  const MicroBatcher::Stats stats = batcher.stats();
+  EXPECT_EQ(stats.requests, 9u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_batch, 8u);
 }
 
 // -- QueryService ------------------------------------------------------------

@@ -85,7 +85,6 @@ class ServerTest : public ::testing::Test {
     MicroBatcher::Options opts;
     opts.threads = 2;
     opts.max_batch = 16;
-    opts.max_wait_micros = 100;
     return opts;
   }
 

@@ -9,7 +9,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "common/random.h"
 #include "core/embedding_db.h"
 #include "obs/metrics.h"
+#include "obs/reqtrace.h"
 #include "store/durable_store.h"
 #include "store/faulty_file.h"
 #include "store/file.h"
@@ -236,6 +239,51 @@ TEST_F(StoreTest, InsertsSurviveReopen) {
   // Open() compacted the non-empty log into the snapshot.
   EXPECT_TRUE(FileExists(store.snapshot_path()));
   EXPECT_TRUE(ReadFile(store.wal_path()).empty());
+}
+
+TEST_F(StoreTest, RejectedInsertLogsNothingAndLaterAcksRecover) {
+  {
+    EmbeddingDatabase db;
+    DurableStore store(&db, {.data_dir = dir_});
+    store.Open();
+    EXPECT_EQ(store.Insert(MakeEmbedding(8, 1)), 0u);
+    const std::string wal_before = ReadFile(store.wal_path());
+    EXPECT_THROW(store.Insert(MakeEmbedding(4, 2)), std::invalid_argument);
+    EXPECT_THROW(store.Insert(nn::Vector()), std::invalid_argument);
+    EXPECT_EQ(ReadFile(store.wal_path()), wal_before);
+    EXPECT_FALSE(store.read_only());
+    EXPECT_EQ(store.Insert(MakeEmbedding(8, 3)), 1u);
+  }
+  EmbeddingDatabase recovered;
+  DurableStore store(&recovered, {.data_dir = dir_});
+  const DurableStore::RecoveryInfo info = store.Open();
+  EXPECT_EQ(info.tail, WalTail::kClean) << info.tail_detail;
+  EXPECT_EQ(info.replayed, 2u);
+  ASSERT_EQ(recovered.size(), 2u);
+  EXPECT_EQ(recovered.embeddings()[1], MakeEmbedding(8, 3));
+}
+
+TEST_F(StoreTest, TracedInsertRecordsWaitWalAndCompactSpans) {
+  EmbeddingDatabase db;
+  DurableStore store(&db, {.data_dir = dir_, .compact_every = 2});
+  store.Open();
+  obs::MetricsRegistry registry;
+  obs::RequestTracer tracer(&registry);
+  auto stages_of_insert = [&](uint64_t seed) {
+    auto trace = std::make_shared<obs::RequestTrace>(
+        obs::TraceContext{seed, /*sampled=*/true}, "insert");
+    store.Insert(MakeEmbedding(8, seed), trace.get());
+    tracer.Finish(trace);
+    const std::vector<obs::FinishedTrace> last = tracer.Dump(1);
+    std::vector<std::string> stages;
+    for (const obs::FinishedSpan& s : last[0].spans) stages.push_back(s.stage);
+    return stages;
+  };
+  EXPECT_EQ(stages_of_insert(1),
+            (std::vector<std::string>{"store_wait", "wal"}));
+  // The second insert reaches compact_every and compacts inline.
+  EXPECT_EQ(stages_of_insert(2),
+            (std::vector<std::string>{"store_wait", "wal", "compact"}));
 }
 
 TEST_F(StoreTest, AutoCompactionTruncatesWal) {

@@ -18,7 +18,6 @@
 
 #include "common/sync.h"
 
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -128,17 +127,6 @@ TEST(SyncTest, CondVarHandsOffAcrossThreads) {
 
   MutexLock lock(hs.mu);
   EXPECT_TRUE(hs.consumed);
-}
-
-TEST(SyncTest, CondVarWaitUntilReportsTimeout) {
-  Mutex mu;
-  CondVar cv;
-  MutexLock lock(mu);
-  // Nothing ever notifies: the already-expired deadline must come back as a
-  // timeout (false) without blocking.
-  const bool notified = cv.WaitUntil(
-      mu, std::chrono::steady_clock::now() - std::chrono::milliseconds(1));
-  EXPECT_FALSE(notified);
 }
 
 // ---------------------------------------------------------------------------

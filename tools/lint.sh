@@ -21,10 +21,10 @@
 #      sanctioned stderr paths are common/check.cc's contract-failure
 #      reporting and the flight recorder's crash dump. The same rule bans
 #      ad-hoc std::chrono timing in src/serve and src/retrieval: request
-#      timing flows through Stopwatch / DeadlineAfterMicros / SleepForMillis
-#      (common/stopwatch.h) and the obs span types, so every measurement a
-#      request sees also lands in its trace — a raw steady_clock::now() pair
-#      is latency the span tree cannot attribute.
+#      timing flows through Stopwatch / SleepForMillis (common/stopwatch.h)
+#      and the obs span types, so every measurement a request sees also
+#      lands in its trace — a raw steady_clock::now() pair is latency the
+#      span tree cannot attribute.
 #   6. No raw POSIX I/O in src/store outside store/file.cc: every durability
 #      write must flow through the File/FileFactory seam so the fault
 #      harness can intercept it and so short writes / EINTR are handled in
@@ -46,6 +46,11 @@
 #      nn::L2Distance call or sqrt in an IVF scan loop is a second
 #      accumulation order waiting to diverge. (Raw std:: locking in
 #      src/retrieval is already banned repo-wide by rule 7.)
+#   9. Every request-trace stage recorded in src/ under a literal name —
+#      StageSpan(trace, "x") or ->Record("x", ...) — is listed in
+#      kSlowLogStages (src/obs/reqtrace.cc). An unlisted stage still feeds
+#      its reqtrace/stage/<x>_us histogram, but the slow-query log would
+#      fold it silently into other_us.
 #
 # Usage: tools/lint.sh   (from anywhere; exits non-zero on any violation)
 
@@ -103,8 +108,8 @@ if [[ -n "$hits" ]]; then
   report "raw stderr/stdout telemetry in src/core|nn|serve (use src/obs/)" "$hits"
 fi
 # Ad-hoc std::chrono timing in the serving/retrieval layers: all request
-# timing goes through common/stopwatch.h (Stopwatch, DeadlineAfterMicros,
-# SleepForMillis) or the obs span types so the trace spans see it too.
+# timing goes through common/stopwatch.h (Stopwatch, SleepForMillis) or the
+# obs span types so the trace spans see it too.
 hits=$(grep -rnE 'std::chrono|steady_clock|high_resolution_clock' \
     src/serve/ src/retrieval/ --include='*.cc' --include='*.h' \
     | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)
@@ -144,6 +149,20 @@ hits=$(grep -rnE 'nn::L2Distance|std::sqrt\(|std::hypot\(|std::pow\(' \
     | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)
 if [[ -n "$hits" ]]; then
   report "float distance math in src/retrieval outside kernels.{h,cc}" "$hits"
+fi
+
+# -- Rule 9: recorded stage names are slow-log columns ------------------------
+listed=$(sed -n '/kSlowLogStages\[\] = {/,/};/p' src/obs/reqtrace.cc \
+    | grep -oE '"[a-z_0-9]+"' | tr -d '"' | sort -u)
+recorded=$(grep -rhoE 'StageSpan[[:space:]]+[a-z_0-9]+\([^,]*,[[:space:]]*"[a-z_0-9]+"|->Record\("[a-z_0-9]+"' \
+    src/ --include='*.cc' --include='*.h' \
+    | grep -oE '"[a-z_0-9]+"$' | tr -d '"' | sort -u)
+if [[ -z "$listed" ]]; then
+  report "cannot read kSlowLogStages from src/obs/reqtrace.cc" ""
+fi
+hits=$(comm -13 <(echo "$listed") <(echo "$recorded"))
+if [[ -n "$hits" ]]; then
+  report "stage recorded in src/ but missing from kSlowLogStages (src/obs/reqtrace.cc)" "$hits"
 fi
 
 if [[ "$fail" -ne 0 ]]; then

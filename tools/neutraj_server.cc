@@ -3,14 +3,16 @@
 // Loads a model plus a corpus (CSV trajectories or a prebuilt .embdb), binds
 // a loopback/TCP port, and serves the binary wire protocol of src/serve/:
 // Encode, PairSim, TopK, Insert (live corpus appends), Stats, Health.
-// Encoding is micro-batched across a thread pool; SIGTERM/SIGINT trigger a
+// Encoding is micro-batched across a thread pool: an idle batcher encodes a
+// request at once, and requests that queue while a batch runs form the next
+// batch of at most --batch B (default 32). SIGTERM/SIGINT trigger a
 // graceful drain (in-flight requests finish, new work is refused) and a
 // zero exit code.
 //
 // Usage:
 //   neutraj_server --model model.ntj [--data corpus.csv | --db corpus.embdb]
 //                  [--host H] [--port P] [--port-file F]
-//                  [--threads N] [--batch B] [--batch-wait-us U]
+//                  [--threads N] [--batch B]
 //                  [--save-db F] [--data-dir D] [--compact-every N]
 //                  [--idle-timeout-ms MS]
 //                  [--retrieval exact|ivf] [--ivf-nlist N] [--ivf-nprobe N]
@@ -106,7 +108,7 @@ void PrintUsage() {
   std::printf(
       "neutraj_server --model M [--data F.csv | --db F.embdb]\n"
       "               [--host H] [--port P] [--port-file F]\n"
-      "               [--threads N] [--batch B] [--batch-wait-us U]\n"
+      "               [--threads N] [--batch B]\n"
       "               [--save-db F] [--data-dir D] [--compact-every N]\n"
       "               [--idle-timeout-ms MS]\n"
       "               [--retrieval exact|ivf] [--ivf-nlist N]\n"
@@ -165,7 +167,6 @@ int Run(const Args& args) {
   serve::MicroBatcher::Options batch_opts;
   batch_opts.threads = threads;
   batch_opts.max_batch = static_cast<size_t>(args.GetInt("batch", 32));
-  batch_opts.max_wait_micros = args.GetInt("batch-wait-us", 200);
   serve::QueryService service(model, &db, batch_opts, durable.get());
 
   std::unique_ptr<retrieval::IvfBackend> ivf;
@@ -221,10 +222,9 @@ int Run(const Args& args) {
   server.Start();
   serve::InstallStopSignalHandlers(&server);
 
-  std::printf("listening on %s:%u (threads=%zu, batch=%zu, wait=%lldus)\n",
+  std::printf("listening on %s:%u (threads=%zu, batch=%zu)\n",
               server_opts.host.c_str(), server.port(), threads,
-              batch_opts.max_batch,
-              static_cast<long long>(batch_opts.max_wait_micros));
+              batch_opts.max_batch);
   std::fflush(stdout);
   if (args.Has("port-file")) {
     WriteFileAtomic(args.Get("port-file"), std::to_string(server.port()) + "\n");
