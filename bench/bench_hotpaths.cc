@@ -9,22 +9,28 @@
 // Wall-clock speedups depend on the machine's core count; the JSON records
 // the detected hardware_concurrency alongside every timing for context.
 //
-// The observability section compares encoding with tracing off (the default:
-// one relaxed atomic load per instrumented scope) against coarse tracing on
-// (clock reads + histogram records per encode). The enabled overhead is
-// gated at <= 2%; builds with -DNEUTRAJ_OBS_NOTRACE remove the spans at the
-// preprocessor level, so their compiled-out cost is exactly zero by
-// construction and needs no measurement.
+// The observability section times the encode path's obs::Span ("nn/encode")
+// with tracing off (the default: Traced() hands the span no histogram, so it
+// costs one relaxed load) against coarse tracing on (two clock reads, a
+// histogram record and a flight-recorder push per encode). The enabled
+// overhead is gated at <= 2%.
 //
 // The request-tracing section measures the per-request span-tree cost at
 // the micro-batcher level (the hot serving path): blocking Encode calls
 // with no RequestTrace attached versus a live trace on EVERY request —
-// two clock reads plus two lock-free slot claims per request (queue_wait
-// + encode spans), the worst case the 1-in-N sampler ever pays. Gated at
-// <= 2% even for this always-sampled ceiling; the serving-level gates
-// (off vs baseline, 1-in-64) live in bench_serving.
+// three clock reads plus two lock-free slot claims per request (the
+// queue_wait record and the encode span), the worst case the 1-in-N
+// sampler ever pays. Gated at <= 2% even for this always-sampled ceiling;
+// the serving-level gates (off vs baseline, 1-in-64) live in bench_serving.
+//
+// Both gated sections time 300 pairs of ~10 ms slices (40 trajectories),
+// the two sides alternating x,y,y,x, and gate the median per-pair ratio.
+// On a shared 4-vCPU host with tracing off on both sides, the best of 20
+// alternating whole-corpus passes per side read -7.6..+3.3% apart, and the
+// paired median -0.14..+0.10%.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -185,14 +191,44 @@ std::vector<ThreadTiming> BenchTraining() {
   return out;
 }
 
+/// Trajectories per timed slice: ~10 ms of encoding, short enough that a
+/// slow spell of a shared host spoils a few slices rather than a whole side.
+constexpr size_t kSliceTrajs = 40;
+
+/// Times `kPairs` pairs of short slices, `time_slice(probe, first)` seconds
+/// each, the two sides alternating in x,y,y,x order. Sums each side's
+/// seconds into *base_s / *probe_s and returns the median per-pair ratio
+/// probe / base minus 1, the overhead estimate the gates read.
+template <typename TimeSlice>
+double PairedOverhead(size_t num_trajs, TimeSlice time_slice, double* base_s,
+                      double* probe_s) {
+  constexpr size_t kPairs = 300;
+  const size_t slices = std::max<size_t>(1, num_trajs / kSliceTrajs);
+  std::vector<double> ratios;
+  ratios.reserve(kPairs);
+  *base_s = 0.0;
+  *probe_s = 0.0;
+  for (size_t r = 0; r < kPairs; ++r) {
+    const size_t first = (r % slices) * kSliceTrajs;
+    double base = 0.0, probe = 0.0;
+    for (const bool is_probe : {r % 2 == 1, r % 2 == 0}) {
+      (is_probe ? probe : base) = time_slice(is_probe, first);
+    }
+    *base_s += base;
+    *probe_s += probe;
+    ratios.push_back(probe / base);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
+  return ratios[kPairs / 2] - 1.0;
+}
+
 struct ObsTiming {
-  double off_s;       ///< Encode corpus, tracing off (runtime-disabled).
-  double coarse_s;    ///< Encode corpus, coarse spans recording.
-  double overhead;    ///< coarse_s / off_s - 1.
+  double off_s;       ///< Encode slices, tracing off (runtime-disabled).
+  double coarse_s;    ///< Encode slices, coarse spans recording.
+  double overhead;    ///< Median per-pair coarse / off - 1.
 };
 
-/// Measures the cost of the nn/encode trace span on the serial encode path,
-/// best-of-N to shake scheduler noise out of the comparison.
+/// Measures the cost of the nn/encode obs::Span on the serial encode path.
 ObsTiming BenchObservability() {
   GeneratorConfig gen = PortoLikeConfig(0.1);
   gen.num_trajectories = 400;
@@ -214,32 +250,31 @@ ObsTiming BenchObservability() {
   trainer.Train();
   const NeuTrajModel model = trainer.TakeModel();
 
-  constexpr int kRounds = 5;
-  auto best_of = [&](obs::TraceLevel level) {
-    obs::SetTraceLevel(level);
-    double best = 1e300;
-    for (int r = 0; r < kRounds; ++r) {
-      Stopwatch sw;
-      const auto embeds = model.EmbedAll(data.trajectories);
-      best = std::min(best, sw.ElapsedSeconds());
-      if (embeds.empty()) std::exit(1);  // Keeps the encode from being DCE'd.
+  const std::vector<Trajectory>& trajs = data.trajectories;
+  nn::CellWorkspace ws;
+  double sink = 0.0;  // Read below, so the encodes cannot be DCE'd.
+  auto time_slice = [&](bool coarse, size_t first) {
+    obs::SetTraceLevel(coarse ? obs::TraceLevel::kCoarse
+                              : obs::TraceLevel::kOff);
+    Stopwatch sw;
+    for (size_t i = first; i < first + kSliceTrajs; ++i) {
+      sink += model.Embed(trajs[i], &ws)[0];
     }
-    return best;
+    return sw.ElapsedSeconds();
   };
 
-  best_of(obs::TraceLevel::kOff);  // Warm-up round set.
+  model.EmbedAll(trajs);  // Warm-up.
   ObsTiming t;
-  t.off_s = best_of(obs::TraceLevel::kOff);
-  t.coarse_s = best_of(obs::TraceLevel::kCoarse);
+  t.overhead = PairedOverhead(trajs.size(), time_slice, &t.off_s, &t.coarse_s);
   obs::SetTraceLevel(obs::TraceLevel::kOff);
-  t.overhead = t.coarse_s / t.off_s - 1.0;
+  if (!std::isfinite(sink)) std::exit(1);
   return t;
 }
 
 struct ReqTraceTiming {
   double off_s = 0.0;     ///< Batcher encodes, no RequestTrace attached.
   double traced_s = 0.0;  ///< A live RequestTrace on every request.
-  double overhead = 0.0;  ///< traced_s / off_s - 1.
+  double overhead = 0.0;  ///< Median per-pair traced / untraced - 1.
 };
 
 /// Measures the span-tree recording cost on the micro-batcher encode path:
@@ -270,30 +305,27 @@ ReqTraceTiming BenchReqTrace() {
   opts.max_batch = 1;
   serve::MicroBatcher batcher(model, opts);
 
-  constexpr int kRounds = 5;
-  auto best_of = [&](bool traced) {
-    double best = 1e300;
-    for (int r = 0; r < kRounds; ++r) {
-      Stopwatch sw;
-      uint64_t id = 1;
-      for (const Trajectory& t : data.trajectories) {
-        if (traced) {
-          obs::RequestTrace trace({id++, /*sampled=*/true}, "encode");
-          batcher.Encode(t, &trace);
-        } else {
-          batcher.Encode(t, nullptr);
-        }
+  const std::vector<Trajectory>& trajs = data.trajectories;
+  uint64_t id = 1;
+  auto time_slice = [&](bool traced, size_t first) {
+    Stopwatch sw;
+    for (size_t i = first; i < first + kSliceTrajs; ++i) {
+      if (traced) {
+        obs::RequestTrace trace({id++, /*sampled=*/true}, "encode");
+        batcher.Encode(trajs[i], &trace);
+      } else {
+        batcher.Encode(trajs[i], nullptr);
       }
-      best = std::min(best, sw.ElapsedSeconds());
     }
-    return best;
+    return sw.ElapsedSeconds();
   };
 
-  best_of(false);  // Warm-up round set.
+  for (const Trajectory& traj : trajs) {  // Warm-up.
+    batcher.Encode(traj, nullptr);
+  }
   ReqTraceTiming t;
-  t.off_s = best_of(false);
-  t.traced_s = best_of(true);
-  t.overhead = t.traced_s / t.off_s - 1.0;
+  t.overhead =
+      PairedOverhead(trajs.size(), time_slice, &t.off_s, &t.traced_s);
   return t;
 }
 
@@ -373,8 +405,7 @@ int main() {
   std::fprintf(f,
                "  \"observability\": {\"encode_trace_off_seconds\": %.4f, "
                "\"encode_trace_coarse_seconds\": %.4f, "
-               "\"enabled_span_overhead\": %.4f, "
-               "\"compiled_out_overhead\": 0.0},\n",
+               "\"enabled_span_overhead\": %.4f},\n",
                obs_t.off_s, obs_t.coarse_s, obs_t.overhead);
   std::fprintf(f,
                "  \"reqtrace\": {\"batcher_untraced_seconds\": %.4f, "

@@ -15,9 +15,9 @@
 #include "common/errors.h"
 #include "common/file_util.h"
 #include "common/framing.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "obs/trace.h"
 
 namespace neutraj {
 
@@ -148,7 +148,8 @@ void EmbeddingDatabase::AttachMetrics(obs::MetricsRegistry* registry) {
 EmbeddingDatabase EmbeddingDatabase::Build(const NeuTrajModel& model,
                                            const std::vector<Trajectory>& corpus,
                                            size_t threads) {
-  Stopwatch sw;
+  EmbeddingDatabase db;
+  obs::Span span("db/build", db.build_us_, nullptr);
   // Encode into locals, then publish under the writer lock: the database is
   // not shared yet, but static member functions are inside the thread-safety
   // analysis boundary, so the guarded members are only touched while their
@@ -158,13 +159,12 @@ EmbeddingDatabase EmbeddingDatabase::Build(const NeuTrajModel& model,
                                            : model.EmbedAll(corpus);
   const size_t dim = embeddings.empty() ? 0 : embeddings.front().size();
   const size_t count = embeddings.size();
-  EmbeddingDatabase db;
   {
     WriterLock lock(db.mu_);
     db.embeddings_ = std::move(embeddings);
     db.dim_ = dim;
   }
-  db.build_us_->Record(sw.ElapsedMillis() * 1e3);
+  span.Stop();
   db.corpus_size_->Set(static_cast<double>(count));
   return db;
 }
@@ -184,7 +184,7 @@ size_t EmbeddingDatabase::Insert(const nn::Vector& embedding) {
     throw std::invalid_argument("EmbeddingDatabase::Insert: empty embedding");
   }
   NEUTRAJ_DCHECK_FINITE(embedding);
-  Stopwatch sw;
+  obs::Span span("db/insert", insert_us_, nullptr);
   size_t id = 0;
   size_t new_size = 0;
   {
@@ -201,7 +201,7 @@ size_t EmbeddingDatabase::Insert(const nn::Vector& embedding) {
     new_size = embeddings_.size();
     id = new_size - 1;
   }
-  insert_us_->Record(sw.ElapsedMillis() * 1e3);
+  span.Stop();
   corpus_size_->Set(static_cast<double>(new_size));
   return id;
 }
@@ -221,7 +221,7 @@ size_t EmbeddingDatabase::ScanChunkRows(size_t dim) {
 SearchResult EmbeddingDatabase::TopK(const nn::Vector& query, size_t k,
                                      int64_t exclude, ThreadPool* helpers,
                                      size_t max_helpers) const {
-  Stopwatch sw;
+  obs::Span span("db/topk", topk_us_, nullptr);
   ReaderLock lock(mu_);
   if (!embeddings_.empty() && query.size() != dim_) {
     throw std::invalid_argument("EmbeddingDatabase::TopK: query dimension " +
@@ -249,7 +249,6 @@ SearchResult EmbeddingDatabase::TopK(const nn::Vector& query, size_t k,
     scan->Drain();
     result = scan->Wait();
   }
-  topk_us_->Record(sw.ElapsedMillis() * 1e3);
   return result;
 }
 
@@ -262,7 +261,7 @@ SearchResult EmbeddingDatabase::TopK(const NeuTrajModel& model,
 SearchResult EmbeddingDatabase::TopKOf(const nn::Vector& query,
                                        const std::vector<size_t>& candidates,
                                        size_t k, int64_t exclude) const {
-  Stopwatch sw;
+  obs::Span span("db/topk", topk_us_, nullptr);
   ReaderLock lock(mu_);
   if (!embeddings_.empty() && query.size() != dim_) {
     throw std::invalid_argument(
@@ -277,10 +276,7 @@ SearchResult EmbeddingDatabase::TopKOf(const nn::Vector& query,
                               std::to_string(embeddings_.size()));
     }
   }
-  SearchResult result = EmbeddingTopKOf(embeddings_, query, candidates, k,
-                                        exclude);
-  topk_us_->Record(sw.ElapsedMillis() * 1e3);
-  return result;
+  return EmbeddingTopKOf(embeddings_, query, candidates, k, exclude);
 }
 
 std::string EmbeddingDatabase::Serialize() const {

@@ -400,7 +400,9 @@ TrainResult Trainer::Train(const EpochCallback& callback) {
   size_t rollbacks = 0;          // Total watchdog trips this Train() call.
   size_t consecutive_trips = 0;  // Trips since the last clean epoch.
   while (next_epoch_ < cfg_.epochs) {
-    NEUTRAJ_TRACE_SPAN("trainer/epoch");
+    static obs::ConcurrentHistogram& epoch_us =
+        obs::TraceHistogram("trainer/epoch");
+    obs::Span epoch_span("trainer/epoch", obs::Traced(epoch_us), nullptr);
     const size_t epoch = next_epoch_;
     Stopwatch sw;
     // The anchor order must be a pure function of the checkpointed RNG

@@ -1,6 +1,8 @@
 #include "nn/encoder.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "obs/trace.h"
@@ -50,7 +52,8 @@ void Encoder::Initialize(Rng* rng) {
 Vector Encoder::Encode(const Trajectory& traj, bool update_memory,
                        EncodeTape* tape, CellWorkspace* ws,
                        MemoryWriteLog* write_log) {
-  NEUTRAJ_TRACE_SPAN("nn/encode");
+  static obs::ConcurrentHistogram& encode_us = obs::TraceHistogram("nn/encode");
+  obs::Span span("nn/encode", obs::Traced(encode_us), nullptr);
   if (traj.empty()) throw std::invalid_argument("Encode: empty trajectory");
   const size_t len = traj.size();
   if (tape != nullptr) {
@@ -91,6 +94,10 @@ Vector Encoder::Encode(const Trajectory& traj, bool update_memory,
   GruTape scratch_gru;
   for (size_t t = 0; t < len; ++t) {
     const Point norm = grid_.Normalize(traj[t]);
+    if (!std::isfinite(norm.x) || !std::isfinite(norm.y)) {
+      throw std::invalid_argument("Encode: point " + std::to_string(t) +
+                                  " normalizes to a non-finite value");
+    }
     x[0] = norm.x;
     x[1] = norm.y;
     GridCell center{0, 0};
@@ -129,7 +136,9 @@ Vector Encoder::Encode(const Trajectory& traj, bool update_memory,
 
 void Encoder::Backward(const EncodeTape& tape, const Vector& d_embedding,
                        GradBuffer* sink, CellWorkspace* ws) {
-  NEUTRAJ_TRACE_SPAN("nn/backward");
+  static obs::ConcurrentHistogram& backward_us =
+      obs::TraceHistogram("nn/backward");
+  obs::Span span("nn/backward", obs::Traced(backward_us), nullptr);
   if (d_embedding.size() != hidden_) {
     throw std::invalid_argument("Backward: gradient dimension mismatch");
   }

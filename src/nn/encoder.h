@@ -60,7 +60,9 @@ class Encoder {
   /// tensor, writes are appended to the log for a later ordered
   /// MemoryTensor::ApplyWrites — the deferred-write protocol that makes
   /// parallel training batches independent of thread interleaving.
-  /// Throws std::invalid_argument on an empty trajectory.
+  /// Throws std::invalid_argument on an empty trajectory and on a point
+  /// that normalizes to a non-finite value (a non-finite coordinate, or a
+  /// huge one on a region narrower than one unit).
   Vector Encode(const Trajectory& traj, bool update_memory,
                 EncodeTape* tape = nullptr, CellWorkspace* ws = nullptr,
                 MemoryWriteLog* write_log = nullptr);

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "nn/init.h"
-#include "obs/trace.h"
 
 namespace neutraj::nn {
 
@@ -77,42 +76,39 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
   NEUTRAJ_DCHECK_FINITE(x);
   CellWorkspace local_ws_storage;
   CellWorkspace* w = ws != nullptr ? ws : &local_ws_storage;
-  {
-    NEUTRAJ_TRACE_FINE_SPAN("nn/sam/gates");
-    // Gate pre-activations (Eq. 1).
-    Vector& pre = w->pre;
-    pre.resize(4 * d);
-    for (size_t k = 0; k < 4 * d; ++k) pre[k] = bg_.value(k, 0);
-    MatVecAccum(wg_.value, x, &pre);
-    MatVecAccum(ug_.value, h_prev, &pre);
+  // Gate pre-activations (Eq. 1).
+  Vector& pre = w->pre;
+  pre.resize(4 * d);
+  for (size_t k = 0; k < 4 * d; ++k) pre[k] = bg_.value(k, 0);
+  MatVecAccum(wg_.value, x, &pre);
+  MatVecAccum(ug_.value, h_prev, &pre);
 
-    tape->x = x;
-    tape->h_prev = h_prev;
-    tape->c_prev = c_prev;
-    tape->f.resize(d);
-    tape->i.resize(d);
-    tape->s.resize(d);
-    tape->o.resize(d);
-    for (size_t k = 0; k < d; ++k) {
-      tape->f[k] = Sigmoid(pre[k]);
-      tape->i[k] = Sigmoid(pre[d + k]);
-      tape->s[k] = Sigmoid(pre[2 * d + k]);
-      tape->o[k] = Sigmoid(pre[3 * d + k]);
-    }
+  tape->x = x;
+  tape->h_prev = h_prev;
+  tape->c_prev = c_prev;
+  tape->f.resize(d);
+  tape->i.resize(d);
+  tape->s.resize(d);
+  tape->o.resize(d);
+  for (size_t k = 0; k < d; ++k) {
+    tape->f[k] = Sigmoid(pre[k]);
+    tape->i[k] = Sigmoid(pre[d + k]);
+    tape->s[k] = Sigmoid(pre[2 * d + k]);
+    tape->o[k] = Sigmoid(pre[3 * d + k]);
+  }
 
-    // Candidate (Eq. 2).
-    Vector& cand_pre = w->cand_pre;
-    cand_pre.resize(d);
-    for (size_t k = 0; k < d; ++k) cand_pre[k] = bc_.value(k, 0);
-    MatVecAccum(wc_.value, x, &cand_pre);
-    MatVecAccum(uc_.value, h_prev, &cand_pre);
-    TanhInto(cand_pre, &tape->c_tilde);
+  // Candidate (Eq. 2).
+  Vector& cand_pre = w->cand_pre;
+  cand_pre.resize(d);
+  for (size_t k = 0; k < d; ++k) cand_pre[k] = bc_.value(k, 0);
+  MatVecAccum(wc_.value, x, &cand_pre);
+  MatVecAccum(uc_.value, h_prev, &cand_pre);
+  TanhInto(cand_pre, &tape->c_tilde);
 
-    // Intermediate cell state (Eq. 3).
-    tape->c_hat.resize(d);
-    for (size_t k = 0; k < d; ++k) {
-      tape->c_hat[k] = tape->f[k] * c_prev[k] + tape->i[k] * tape->c_tilde[k];
-    }
+  // Intermediate cell state (Eq. 3).
+  tape->c_hat.resize(d);
+  for (size_t k = 0; k < d; ++k) {
+    tape->c_hat[k] = tape->f[k] * c_prev[k] + tape->i[k] * tape->c_tilde[k];
   }
 
   tape->used_memory = use_memory;
@@ -122,16 +118,12 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
     // snapshot. Never-written cells are masked out of the softmax; if the
     // whole window is unvisited the step degenerates to a plain LSTM step.
     std::vector<char>& mask = w->mask;
-    {
-      NEUTRAJ_TRACE_FINE_SPAN("nn/sam/attention");
-      memory->GatherWindow(window_cells, &tape->att.g, &mask);
-      AttentionForwardPrefilled(&tape->att, tape->c_hat, &mask);
-    }
+    memory->GatherWindow(window_cells, &tape->att.g, &mask);
+    AttentionForwardPrefilled(&tape->att, tape->c_hat, &mask);
     if (tape->att.all_masked) {
       tape->used_memory = false;
       tape->c = tape->c_hat;
       if (update_memory) {
-        NEUTRAJ_TRACE_FINE_SPAN("nn/sam/memory_write");
         if (write_log != nullptr) {
           write_log->push_back({center, tape->s, tape->c});
         } else {
@@ -167,7 +159,6 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
     // Memory write (Eq. 5) — persistent-state update, no gradient. Deferred
     // into the log when one is supplied, applied in place otherwise.
     if (update_memory) {
-      NEUTRAJ_TRACE_FINE_SPAN("nn/sam/memory_write");
       if (write_log != nullptr) {
         write_log->push_back({center, tape->s, tape->c});
       } else {

@@ -18,14 +18,16 @@
 //                  random_device.
 //
 //   RequestTrace   One sampled request's bounded lock-free span buffer.
-//                  Every stage Record()s (stage name, start offset,
-//                  duration, compact thread id) by claiming a slot with one
-//                  atomic increment; overflow increments a drop counter
-//                  instead of reallocating, so recording never takes a lock
-//                  or allocates on another subsystem's thread.
-//
-//   StageSpan      RAII span recorder; inert on a null trace, which is how
-//                  the 1-in-N unsampled majority pays only a pointer test.
+//                  Stages reach it through obs::Span (obs/trace.h), which
+//                  passes the trace as its second sink next to the stage's
+//                  histogram, so both see one duration; a span given a null
+//                  trace (the 1-in-N unsampled majority) pays one pointer
+//                  test for it. Intervals that start on one thread and end
+//                  on another (queue_wait, reply) call Record() directly.
+//                  Record() claims a slot with one atomic increment;
+//                  overflow increments a drop counter instead of
+//                  reallocating, so recording never takes a lock or
+//                  allocates on another subsystem's thread.
 //
 //   RequestTracer  Owns sampling, the ring of completed trees (served by
 //                  the kTraceDump endpoint), the slow-query JSONL log, and
@@ -57,6 +59,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -65,7 +68,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stopwatch.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
 
@@ -135,8 +137,15 @@ class RequestTrace {
     s.tid = CompactThreadId();
   }
 
-  /// µs since this trace began — the time base every span offset uses.
-  double ElapsedMicros() const { return clock_.ElapsedMicros(); }
+  /// µs from this trace's start to `t` — the time base of every offset.
+  double MicrosAt(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration<double, std::micro>(t - start_).count();
+  }
+
+  /// µs since this trace began.
+  double ElapsedMicros() const {
+    return MicrosAt(std::chrono::steady_clock::now());
+  }
 
   const TraceContext& context() const { return ctx_; }
   const char* endpoint() const { return endpoint_; }
@@ -157,38 +166,12 @@ class RequestTrace {
 
   TraceContext ctx_;
   const char* endpoint_;
-  Stopwatch clock_;
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
   std::atomic<uint32_t> size_{0};
   std::atomic<uint64_t> dropped_{0};
   std::array<Slot, kMaxSpans> spans_;
   double total_override_us_ = -1.0;
-};
-
-/// RAII stage recorder. Null trace = fully inert (one pointer test), which
-/// is the unsampled fast path everywhere.
-class StageSpan {
- public:
-  StageSpan(RequestTrace* trace, const char* stage)
-      : trace_(trace),
-        stage_(stage),
-        start_us_(trace != nullptr ? trace->ElapsedMicros() : 0.0) {}
-
-  StageSpan(const StageSpan&) = delete;
-  StageSpan& operator=(const StageSpan&) = delete;
-
-  ~StageSpan() { Stop(); }
-
-  /// Ends the span early (idempotent).
-  void Stop() {
-    if (trace_ == nullptr) return;
-    trace_->Record(stage_, start_us_, trace_->ElapsedMicros() - start_us_);
-    trace_ = nullptr;
-  }
-
- private:
-  RequestTrace* trace_;
-  const char* stage_;
-  double start_us_;
 };
 
 /// Tracing knobs; lives on serve::ServerOptions and is forwarded to the

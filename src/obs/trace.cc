@@ -3,6 +3,7 @@
 #include <string>
 
 #include "obs/flight_recorder.h"
+#include "obs/reqtrace.h"
 
 namespace neutraj::obs {
 
@@ -10,22 +11,22 @@ namespace trace_internal {
 
 std::atomic<int> g_trace_level{static_cast<int>(TraceLevel::kOff)};
 
-SpanSite::SpanSite(const char* name)
-    : name_(name),
-      hist_(&MetricsRegistry::Global().GetHistogram(
-          "trace/" + std::string(name) + "_us")) {}
+}  // namespace trace_internal
 
-void ScopedSpan::Finish() {
-  const auto end = std::chrono::steady_clock::now();
-  const double micros =
-      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-          end - start_)
-          .count();
-  site_->hist().Record(micros);
-  FlightRecorder::Global().RecordSpan(site_->name(), micros);
+ConcurrentHistogram& TraceHistogram(const char* name) {
+  return MetricsRegistry::Global().GetHistogram("trace/" + std::string(name) +
+                                                "_us");
 }
 
-}  // namespace trace_internal
+void Span::Finish() {
+  const double micros =
+      std::chrono::duration<double, std::micro>(Clock::now() - start_).count();
+  if (hist_ != nullptr) hist_->Record(micros);
+  if (trace_ != nullptr) trace_->Record(name_, trace_->MicrosAt(start_), micros);
+  if (Tracing()) FlightRecorder::Global().RecordSpan(name_, micros);
+  hist_ = nullptr;
+  trace_ = nullptr;
+}
 
 void SetTraceLevel(TraceLevel level) {
   trace_internal::g_trace_level.store(static_cast<int>(level),

@@ -1,27 +1,37 @@
-// Lightweight scoped tracing: RAII spans that feed per-name timing
-// histograms in the global metrics registry and the flight recorder.
+// obs::Span: the one RAII timer behind every measured interval, from the
+// training epoch down to one request's WAL append.
 //
-//   void Trainer::Train() {
-//     NEUTRAJ_TRACE_SPAN("trainer/epoch");   // one histogram sample / scope
-//     ...
-//   }
+//   obs::Span span("probe", probe_us_, trace);  // starts now
+//   ...
+//   span.Stop();  // or at scope exit; idempotent
 //
-// Cost model, so hot paths can carry spans without guilt:
-//   - Compiled out (-DNEUTRAJ_OBS_NOTRACE): the macros expand to nothing.
-//     Zero code, zero branches — the encode hot loop is bit-identical to an
-//     uninstrumented build.
-//   - Compiled in, tracing off (the default): one relaxed atomic load and a
-//     predictable branch per scope, plus a one-time lazily-initialized
-//     static per call site. No clock reads.
-//   - Tracing on: two steady_clock reads per scope, one lock-free histogram
-//     record, one flight-recorder push. Suitable for per-trajectory /
-//     per-epoch scopes; the per-step FINE spans (inside the SAM cell) stay
-//     silent unless the level is raised to kFine, because a clock read per
-//     recurrence step is measurable.
+// A span has two sinks, each nullable:
+//   - a ConcurrentHistogram, which gets the duration in µs (the aggregate
+//     view: `retrieval/probe_us`, `store/compact_us`, ...);
+//   - a RequestTrace, which gets (name, start offset, duration) in the
+//     request's span tree when the request is sampled. The name is then the
+//     tree's stage name and must be listed in kSlowLogStages
+//     (obs/reqtrace.cc; tools/lint.sh rule 9 checks it).
+// Both sinks get the same duration, from the same two clock reads. With both
+// sinks null the span is inert: one test and no clock read, which is all an
+// unsampled request pays for its stage spans.
 //
-// Span timings land in MetricsRegistry::Global() as histograms named
-// `trace/<name>_us`. Levels are process-wide (SetTraceLevel), mirrored in
-// the `obs/trace_level` gauge.
+// Trace level. The process-wide level (SetTraceLevel, mirrored in the
+// `obs/trace_level` gauge) gates the spans that exist only for profiling
+// the training and encode paths. Traced() hands such a span its
+// `trace/<name>_us` histogram only while the level is kCoarse, so with
+// tracing off (the default, and the only level neutraj_server runs at) the
+// span costs one relaxed load:
+//
+//   static obs::ConcurrentHistogram& encode_us = obs::TraceHistogram("nn/encode");
+//   obs::Span span("nn/encode", obs::Traced(encode_us), nullptr);
+//
+// While the level is on, every span that records also lands in the flight
+// recorder, so a crash dump shows the last intervals the process timed.
+// While it is off, no span touches the recorder's mutex.
+//
+// Span names must have static storage duration (string literals): the
+// request tree and the flight recorder keep the pointer.
 
 #ifndef NEUTRAJ_OBS_TRACE_H_
 #define NEUTRAJ_OBS_TRACE_H_
@@ -33,93 +43,65 @@
 
 namespace neutraj::obs {
 
+class RequestTrace;
+
 enum class TraceLevel : int {
-  kOff = 0,     ///< Spans cost one relaxed load each.
-  kCoarse = 1,  ///< Per-call / per-epoch spans (NEUTRAJ_TRACE_SPAN).
-  kFine = 2,    ///< Also per-step spans (NEUTRAJ_TRACE_FINE_SPAN).
+  kOff = 0,     ///< Traced() spans are inert.
+  kCoarse = 1,  ///< Traced() spans record per call / per epoch.
 };
 
 void SetTraceLevel(TraceLevel level);
 TraceLevel trace_level();
 
 namespace trace_internal {
-
 extern std::atomic<int> g_trace_level;
+}  // namespace trace_internal
 
-inline bool TraceActive(TraceLevel required) {
-  return g_trace_level.load(std::memory_order_relaxed) >=
-         static_cast<int>(required);
+/// True while the trace level is above kOff: one relaxed load.
+inline bool Tracing() {
+  return trace_internal::g_trace_level.load(std::memory_order_relaxed) !=
+         static_cast<int>(TraceLevel::kOff);
 }
 
-/// One static call site: resolves its histogram in the global registry once
-/// (function-local static init is thread-safe) and hands the span the
-/// pointer, so the enabled path never does a name lookup.
-class SpanSite {
- public:
-  explicit SpanSite(const char* name);
+/// The global registry's `trace/<name>_us` histogram. Resolve it once per
+/// call site (a function-local static) and pass it through Traced().
+ConcurrentHistogram& TraceHistogram(const char* name);
 
-  const char* name() const { return name_; }
-  ConcurrentHistogram& hist() const { return *hist_; }
+/// `&hist` while tracing, else null: a span given this records only while
+/// the trace level is on.
+inline ConcurrentHistogram* Traced(ConcurrentHistogram& hist) {
+  return Tracing() ? &hist : nullptr;
+}
+
+/// Times the interval from construction to Stop() (or destruction) into
+/// its histogram and its request trace, either of which may be null.
+class Span {
+ public:
+  Span(const char* name, ConcurrentHistogram* hist, RequestTrace* trace)
+      : name_(name), hist_(hist), trace_(trace) {
+    if (hist_ != nullptr || trace_ != nullptr) start_ = Clock::now();
+  }
+  ~Span() { Stop(); }
+
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  /// Ends the span now. Later calls, and the destructor, record nothing.
+  void Stop() {
+    if (hist_ != nullptr || trace_ != nullptr) Finish();
+  }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  void Finish();  // Out of line: records into every sink, then clears them.
+
   const char* name_;
   ConcurrentHistogram* hist_;
+  RequestTrace* trace_;
+  Clock::time_point start_;
 };
 
-/// RAII span; inert (a null pointer) when the level is below `required` at
-/// construction time.
-class ScopedSpan {
- public:
-  ScopedSpan(const SpanSite& site, TraceLevel required)
-      : site_(TraceActive(required) ? &site : nullptr) {
-    if (site_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedSpan() {
-    if (site_ != nullptr) Finish();
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  void Finish();  // Out of line: histogram + flight-recorder record.
-
-  const SpanSite* site_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace trace_internal
 }  // namespace neutraj::obs
-
-#ifdef NEUTRAJ_OBS_NOTRACE
-
-// Compiled out entirely: release builds that want provably-zero span cost.
-#define NEUTRAJ_TRACE_SPAN(name) \
-  do {                           \
-  } while (false)
-#define NEUTRAJ_TRACE_FINE_SPAN(name) \
-  do {                                \
-  } while (false)
-
-#else  // !NEUTRAJ_OBS_NOTRACE
-
-#define NEUTRAJ_OBS_CONCAT_INNER(a, b) a##b
-#define NEUTRAJ_OBS_CONCAT(a, b) NEUTRAJ_OBS_CONCAT_INNER(a, b)
-
-#define NEUTRAJ_TRACE_SPAN_AT(name, level)                            \
-  static const ::neutraj::obs::trace_internal::SpanSite               \
-      NEUTRAJ_OBS_CONCAT(neutraj_obs_site_, __LINE__){name};          \
-  const ::neutraj::obs::trace_internal::ScopedSpan NEUTRAJ_OBS_CONCAT( \
-      neutraj_obs_span_, __LINE__){                                   \
-      NEUTRAJ_OBS_CONCAT(neutraj_obs_site_, __LINE__), (level)}
-
-/// Times the enclosing scope into `trace/<name>_us` at coarse level.
-#define NEUTRAJ_TRACE_SPAN(name) \
-  NEUTRAJ_TRACE_SPAN_AT(name, ::neutraj::obs::TraceLevel::kCoarse)
-
-/// Per-step hot-path span; records only at TraceLevel::kFine.
-#define NEUTRAJ_TRACE_FINE_SPAN(name) \
-  NEUTRAJ_TRACE_SPAN_AT(name, ::neutraj::obs::TraceLevel::kFine)
-
-#endif  // NEUTRAJ_OBS_NOTRACE
 
 #endif  // NEUTRAJ_OBS_TRACE_H_

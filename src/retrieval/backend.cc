@@ -1,6 +1,6 @@
 #include "retrieval/backend.h"
 
-#include "common/stopwatch.h"
+#include "obs/trace.h"
 
 namespace neutraj::retrieval {
 
@@ -13,7 +13,7 @@ ExactBackend::ExactBackend(const EmbeddingDatabase* db, size_t threads)
 SearchResult ExactBackend::TopK(const nn::Vector& query, size_t k,
                                 int64_t exclude, size_t /*nprobe*/,
                                 obs::RequestTrace* trace) {
-  obs::StageSpan scan_span(trace, "scan");
+  obs::Span scan_span("scan", nullptr, trace);
   const size_t callers = callers_.fetch_add(1, std::memory_order_relaxed) + 1;
   struct Leave {
     std::atomic<size_t>& n;
@@ -50,21 +50,17 @@ void IvfBackend::NotifyInsert(size_t id, const nn::Vector& embedding) {
 SearchResult IvfBackend::TopK(const nn::Vector& query, size_t k,
                               int64_t exclude, size_t nprobe,
                               obs::RequestTrace* trace) {
-  Stopwatch probe_sw;
-  obs::StageSpan probe_span(trace, "probe");
+  obs::Span probe_span("probe", probe_us_, trace);
   const IvfIndex::CandidateSet candidates =
       index_.Candidates(query, k, nprobe);
   probe_span.Stop();
-  probe_us_->Record(probe_sw.ElapsedMillis() * 1e3);
   candidates_scanned_->Add(candidates.scanned);
   lists_probed_->Add(candidates.probed);
   queries_->Increment();
 
-  Stopwatch rerank_sw;
-  obs::StageSpan rerank_span(trace, "rerank");
+  obs::Span rerank_span("rerank", rerank_us_, trace);
   SearchResult result = db_->TopKOf(query, candidates.ids, k, exclude);
   rerank_span.Stop();
-  rerank_us_->Record(rerank_sw.ElapsedMillis() * 1e3);
   // Recall proxy: candidates.ids is ascending by proxy distance, so its
   // front is the quantized tier's best guess; count how often the exact
   // re-rank agrees.

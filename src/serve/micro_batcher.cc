@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/trace.h"
+
 namespace neutraj::serve {
 
 MicroBatcher::MicroBatcher(const NeuTrajModel& model, const Options& opts)
@@ -131,7 +133,7 @@ void MicroBatcher::RunBatch(std::vector<Item>* batch) {
       trace->Record("queue_wait", g.submit_us[i],
                     trace->ElapsedMicros() - g.submit_us[i]);
     }
-    obs::StageSpan encode_span(trace, "encode");
+    obs::Span encode_span("encode", nullptr, trace);
     try {
       g.result.embeddings[i] = model_.Embed(g.trajs[i], ws);
     } catch (const std::invalid_argument& e) {

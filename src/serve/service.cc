@@ -52,10 +52,12 @@ void CheckTrajectory(const Trajectory& t, const char* what) {
   }
 }
 
-/// A finite trajectory can still encode to a non-finite embedding: on a
-/// region narrower than one unit, a coordinate near the double maximum
-/// normalizes to infinity. Such a vector must reach neither a scan nor the
-/// corpus, for the same reason as a non-finite coordinate.
+/// A finite trajectory can still encode to a non-finite embedding. The
+/// encoder refuses a point that normalizes to infinity (a coordinate near
+/// the double maximum on a region narrower than one unit), but a finite,
+/// huge normalized input can still overflow the cell to NaN. Such a vector
+/// must reach neither a scan nor the corpus, for the same reason as a
+/// non-finite coordinate.
 void CheckEmbedding(const nn::Vector& e, const char* what) {
   for (const double v : e) {
     if (!std::isfinite(v)) {

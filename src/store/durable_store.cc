@@ -8,7 +8,7 @@
 #include "common/check.h"
 #include "common/file_util.h"
 #include "common/framing.h"
-#include "common/stopwatch.h"
+#include "obs/trace.h"
 
 namespace neutraj::store {
 
@@ -69,7 +69,7 @@ void DurableStore::DegradeLocked(const std::string& reason) {
 }
 
 DurableStore::RecoveryInfo DurableStore::Open() {
-  Stopwatch sw;
+  obs::Span span("store/recovery", recovery_us_, nullptr);
   MutexLock lock(mu_);
   if (opened_) throw StoreError("DurableStore: already opened");
   if (!EnsureDirectory(opts_.data_dir)) {
@@ -119,20 +119,19 @@ DurableStore::RecoveryInfo DurableStore::Open() {
     // Fold the replayed tail into a fresh snapshot and truncate the log:
     // torn/corrupt trailing bytes must not precede future appends, and a
     // crash inside THIS compaction is safe by replay idempotence.
-    CompactLocked();
+    CompactLocked(nullptr);
   } else if (!db_->empty() && !has_snapshot) {
     // Pre-seeded database (corpus built from --data) over a fresh
     // directory: make it durable before the first request.
-    CompactLocked();
+    CompactLocked(nullptr);
   }
-  recovery_us_->Record(sw.ElapsedMillis() * 1e3);
   return info;
 }
 
 size_t DurableStore::Insert(const nn::Vector& embedding,
                             obs::RequestTrace* trace) {
-  Stopwatch sw;
-  obs::StageSpan wait_span(trace, "store_wait");
+  obs::Span append_span("wal/append", append_us_, nullptr);
+  obs::Span wait_span("store_wait", nullptr, trace);
   MutexLock lock(mu_);
   wait_span.Stop();
   if (!opened_) throw StoreError("DurableStore: Insert before Open");
@@ -152,7 +151,7 @@ size_t DurableStore::Insert(const nn::Vector& embedding,
         std::to_string(embedding.size()) + " != database dimension " +
         std::to_string(db_->dim()));
   }
-  obs::StageSpan wal_span(trace, "wal");
+  obs::Span wal_span("wal", nullptr, trace);
   try {
     wal_->Append({seq, embedding});
   } catch (const StoreError& e) {
@@ -164,15 +163,14 @@ size_t DurableStore::Insert(const nn::Vector& embedding,
   const size_t id = db_->Insert(embedding);
   NEUTRAJ_ASSERT_MSG(id == seq, "DurableStore: WAL seq diverged from corpus id");
   ++wal_records_;
-  append_us_->Record(sw.ElapsedMillis() * 1e3);
+  append_span.Stop();
   wal_appends_->Increment();
   wal_bytes_->Add(kWireHeaderSize + 12 + 8 * embedding.size());
   live_wal_records_->Set(static_cast<double>(wal_records_));
 
   if (opts_.compact_every > 0 && wal_records_ >= opts_.compact_every) {
-    obs::StageSpan compact_span(trace, "compact");
     try {
-      CompactLocked();
+      CompactLocked(trace);
     } catch (const StoreError& e) {
       // The insert itself is durable and applied; only future writes are
       // in doubt, so degrade but still acknowledge this id.
@@ -190,15 +188,15 @@ void DurableStore::Compact() {
                      degraded_reason_);
   }
   try {
-    CompactLocked();
+    CompactLocked(nullptr);
   } catch (const StoreError& e) {
     DegradeLocked(e.what());
     throw;
   }
 }
 
-void DurableStore::CompactLocked() {
-  Stopwatch sw;
+void DurableStore::CompactLocked(obs::RequestTrace* trace) {
+  obs::Span span("compact", compact_us_, trace);
   // Atomic-replace with the same discipline as WriteFileAtomic, but routed
   // through the (injectable, checked) FileFactory: write the full snapshot
   // to a temp file, fsync it, rename over the live name, fsync the
@@ -217,7 +215,6 @@ void DurableStore::CompactLocked() {
   wal_records_ = 0;
   live_wal_records_->Set(0.0);
   compactions_->Increment();
-  compact_us_->Record(sw.ElapsedMillis() * 1e3);
 }
 
 }  // namespace neutraj::store

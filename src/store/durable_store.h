@@ -124,7 +124,9 @@ class DurableStore {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  void CompactLocked() NEUTRAJ_REQUIRES(mu_);
+  /// One span times the compaction into store/compact_us and, when `trace`
+  /// is sampled, into its "compact" stage.
+  void CompactLocked(obs::RequestTrace* trace) NEUTRAJ_REQUIRES(mu_);
   void DegradeLocked(const std::string& reason) NEUTRAJ_REQUIRES(mu_);
 
   EmbeddingDatabase* db_;

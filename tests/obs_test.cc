@@ -216,8 +216,10 @@ TEST(MetricsConcurrencyTest, TotalsAreExactUnderContention) {
 
 // -- Tracing -----------------------------------------------------------------
 
-void RunCoarseSpan() { NEUTRAJ_TRACE_SPAN("obs_test/coarse"); }
-void RunFineSpan() { NEUTRAJ_TRACE_FINE_SPAN("obs_test/fine"); }
+void RunCoarseSpan() {
+  static ConcurrentHistogram& coarse_us = TraceHistogram("obs_test/coarse");
+  Span span("obs_test/coarse", Traced(coarse_us), nullptr);
+}
 
 uint64_t SpanCount(const char* metric) {
   return MetricsRegistry::Global().GetHistogram(metric).count();
@@ -226,36 +228,24 @@ uint64_t SpanCount(const char* metric) {
 TEST(TraceTest, SpansRecordOnlyAtTheirLevel) {
   SetTraceLevel(TraceLevel::kOff);
   const uint64_t coarse0 = SpanCount("trace/obs_test/coarse_us");
-  const uint64_t fine0 = SpanCount("trace/obs_test/fine_us");
 
-  // Off: neither span records.
+  // Off: the Traced() span is inert.
   RunCoarseSpan();
-  RunFineSpan();
   EXPECT_EQ(SpanCount("trace/obs_test/coarse_us"), coarse0);
-  EXPECT_EQ(SpanCount("trace/obs_test/fine_us"), fine0);
 
-  // Coarse: NEUTRAJ_TRACE_SPAN records, the per-step FINE span stays silent.
+  // Coarse: it records.
   SetTraceLevel(TraceLevel::kCoarse);
   EXPECT_EQ(trace_level(), TraceLevel::kCoarse);
   RunCoarseSpan();
-  RunFineSpan();
   EXPECT_EQ(SpanCount("trace/obs_test/coarse_us"), coarse0 + 1);
-  EXPECT_EQ(SpanCount("trace/obs_test/fine_us"), fine0);
-
-  // Fine: both record.
-  SetTraceLevel(TraceLevel::kFine);
-  RunCoarseSpan();
-  RunFineSpan();
-  EXPECT_EQ(SpanCount("trace/obs_test/coarse_us"), coarse0 + 2);
-  EXPECT_EQ(SpanCount("trace/obs_test/fine_us"), fine0 + 1);
 
   SetTraceLevel(TraceLevel::kOff);
 }
 
 TEST(TraceTest, LevelIsMirroredInTheRegistryGauge) {
-  SetTraceLevel(TraceLevel::kFine);
+  SetTraceLevel(TraceLevel::kCoarse);
   EXPECT_DOUBLE_EQ(MetricsRegistry::Global().GetGauge("obs/trace_level").Value(),
-                   2.0);
+                   1.0);
   SetTraceLevel(TraceLevel::kOff);
   EXPECT_DOUBLE_EQ(MetricsRegistry::Global().GetGauge("obs/trace_level").Value(),
                    0.0);

@@ -1,12 +1,17 @@
 // Tests for request-scoped tracing (src/obs/reqtrace.{h,cc}): the span
-// buffer's lock-free recording and overflow bound, StageSpan RAII, the
-// tracer's sampling gate (client-forced vs 1-in-N vs off), the finished
-// ring + Dump ordering, the slow-query JSONL golden line, tail-latency
-// attribution gauges, and the Chrome trace_event renderer.
+// buffer's lock-free recording and overflow bound, obs::Span feeding its
+// histogram and the request tree one duration (down to the store's inline
+// compaction), the tracer's sampling gate (client-forced vs 1-in-N vs
+// off), the finished ring + Dump ordering, the slow-query JSONL golden
+// line, tail-latency attribution gauges, and the Chrome trace_event
+// renderer.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -15,8 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/embedding_db.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/reqtrace.h"
+#include "obs/trace.h"
+#include "store/durable_store.h"
 
 namespace neutraj::obs {
 namespace {
@@ -42,7 +51,7 @@ TEST(CompactThreadIdTest, StablePerThreadAndDistinctAcrossThreads) {
   EXPECT_GT(other, 0u);
 }
 
-// -- RequestTrace / StageSpan ------------------------------------------------
+// -- RequestTrace / Span -----------------------------------------------------
 
 TEST(RequestTraceTest, RecordStoresSpansAndOverflowCountsAsDropped) {
   MetricsRegistry reg;
@@ -93,25 +102,98 @@ TEST(RequestTraceTest, ConcurrentRecordClaimsDistinctSlots) {
   EXPECT_EQ(starts.size(), size_t{kThreads} * kPerThread);  // No slot lost.
 }
 
-TEST(StageSpanTest, NullTraceIsInertAndStopIsIdempotent) {
-  {
-    StageSpan inert(nullptr, "scan");  // Must not crash or record.
-    inert.Stop();
-  }
-  auto trace = std::make_shared<RequestTrace>(TraceContext{9, true}, "topk");
-  {
-    StageSpan span(trace.get(), "probe");
-    span.Stop();
-    span.Stop();  // Second stop must not double-record.
-  }                // Destructor after Stop() must not record either.
+/// The one span of a single-span trace, after RequestTracer::Finish.
+FinishedSpan OnlySpan(const std::shared_ptr<RequestTrace>& trace) {
   MetricsRegistry reg;
   RequestTracer tracer(&reg);
   tracer.Finish(trace);
   const std::vector<FinishedTrace> dump = tracer.Dump();
+  EXPECT_EQ(dump.size(), 1u);
+  EXPECT_EQ(dump.at(0).spans.size(), 1u);
+  return dump.at(0).spans.at(0);
+}
+
+TEST(SpanTest, NullSinksAreInertAndStopIsIdempotent) {
+  {
+    Span inert("scan", nullptr, nullptr);  // Must not crash or record.
+    inert.Stop();
+  }
+  MetricsRegistry reg;
+  ConcurrentHistogram& hist = reg.GetHistogram("test/probe_us");
+  auto trace = std::make_shared<RequestTrace>(TraceContext{9, true}, "topk");
+  {
+    Span span("probe", &hist, trace.get());
+    span.Stop();
+    span.Stop();  // Second stop must not double-record.
+  }                // Destructor after Stop() must not record either.
+  EXPECT_EQ(hist.count(), 1u);
+  const FinishedSpan probe = OnlySpan(trace);
+  EXPECT_EQ(probe.stage, "probe");
+  EXPECT_GE(probe.dur_us, 0.0);
+}
+
+TEST(SpanTest, FeedsItsHistogramAndTheRequestTreeOneDuration) {
+  MetricsRegistry reg;
+  ConcurrentHistogram& hist = reg.GetHistogram("test/rerank_us");
+  auto trace = std::make_shared<RequestTrace>(TraceContext{11, true}, "topk");
+  {
+    Span span("rerank", &hist, trace.get());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const FinishedSpan rerank = OnlySpan(trace);
+  EXPECT_EQ(rerank.stage, "rerank");
+  EXPECT_GE(rerank.dur_us, 200.0);
+  const LatencyHistogram snap = hist.Snapshot();
+  ASSERT_EQ(snap.count(), 1u);
+  EXPECT_EQ(snap.sum_micros(), rerank.dur_us);  // Exact: one measurement.
+}
+
+TEST(SpanTest, OnlySpansRecordedWhileTracingReachTheFlightRecorder) {
+  FlightRecorder& rec = FlightRecorder::Global();
+  rec.Clear();
+  MetricsRegistry reg;
+  ConcurrentHistogram& hist = reg.GetHistogram("test/wal_us");
+  auto trace = std::make_shared<RequestTrace>(TraceContext{12, true}, "insert");
+  SetTraceLevel(TraceLevel::kOff);
+  { Span span("wal", &hist, trace.get()); }
+  EXPECT_EQ(rec.total_recorded(), 0u);  // Off: the recorder is not touched.
+  SetTraceLevel(TraceLevel::kCoarse);
+  { Span span("wal", &hist, nullptr); }
+  SetTraceLevel(TraceLevel::kOff);
+  const std::vector<FlightEvent> events = rec.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "wal");
+  EXPECT_EQ(hist.count(), 2u);
+  rec.Clear();
+}
+
+TEST(SpanTest, TracedCompactionIsOneSpanForStageAndHistogram) {
+  // The compaction an insert triggers is timed once: its "compact" stage
+  // and its store/compact_us sample are the same measurement.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "neutraj_reqtrace_compact")
+          .string();
+  std::filesystem::remove_all(dir);
+  EmbeddingDatabase db;
+  store::DurableStore store(&db, {.data_dir = dir, .compact_every = 1});
+  store.Open();
+  MetricsRegistry reg;
+  store.AttachMetrics(&reg);
+  auto trace = std::make_shared<RequestTrace>(TraceContext{13, true}, "insert");
+  store.Insert(nn::Vector{1.0, 2.0, 3.0}, trace.get());
+  RequestTracer tracer(&reg);
+  tracer.Finish(trace);
+  const std::vector<FinishedTrace> dump = tracer.Dump();
   ASSERT_EQ(dump.size(), 1u);
-  ASSERT_EQ(dump[0].spans.size(), 1u);
-  EXPECT_EQ(dump[0].spans[0].stage, "probe");
-  EXPECT_GE(dump[0].spans[0].dur_us, 0.0);
+  const FinishedSpan* compact = nullptr;
+  for (const FinishedSpan& s : dump[0].spans) {
+    if (s.stage == "compact") compact = &s;
+  }
+  ASSERT_NE(compact, nullptr);
+  const LatencyHistogram snap = reg.GetHistogram("store/compact_us").Snapshot();
+  ASSERT_EQ(snap.count(), 1u);
+  EXPECT_EQ(snap.sum_micros(), compact->dur_us);
+  std::filesystem::remove_all(dir);
 }
 
 // -- Sampling gate -----------------------------------------------------------

@@ -303,7 +303,7 @@ TEST_F(ServerTest, FiniteTrajectoriesWithNonFiniteEmbeddingsAreNotScanned) {
   Trajectory far = good;
   far[1] = Point(std::numeric_limits<double>::max(),
                  std::numeric_limits<double>::max());
-  ASSERT_TRUE(std::isnan(narrow.Embed(far)[0]));  // The premise.
+  ASSERT_THROW(narrow.Embed(far), std::invalid_argument);  // The premise.
   for (const bool insert : {false, true}) {
     try {
       if (insert) {

@@ -22,7 +22,7 @@
 #      reporting and the flight recorder's crash dump. The same rule bans
 #      ad-hoc std::chrono timing in src/serve and src/retrieval: request
 #      timing flows through Stopwatch / SleepForMillis (common/stopwatch.h)
-#      and the obs span types, so every measurement a request sees also
+#      and obs::Span (obs/trace.h), so every measurement a request sees also
 #      lands in its trace — a raw steady_clock::now() pair is latency the
 #      span tree cannot attribute.
 #   6. No raw POSIX I/O in src/store outside store/file.cc: every durability
@@ -47,8 +47,9 @@
 #      accumulation order waiting to diverge. (Raw std:: locking in
 #      src/retrieval is already banned repo-wide by rule 7.)
 #   9. Every request-trace stage recorded in src/ under a literal name —
-#      StageSpan(trace, "x") or ->Record("x", ...) — is listed in
-#      kSlowLogStages (src/obs/reqtrace.cc). An unlisted stage still feeds
+#      obs::Span s("x", hist, trace) with a trace other than nullptr, or
+#      ->Record("x", ...) — is listed in kSlowLogStages
+#      (src/obs/reqtrace.cc). An unlisted stage still feeds
 #      its reqtrace/stage/<x>_us histogram, but the slow-query log would
 #      fold it silently into other_us.
 #
@@ -108,8 +109,8 @@ if [[ -n "$hits" ]]; then
   report "raw stderr/stdout telemetry in src/core|nn|serve (use src/obs/)" "$hits"
 fi
 # Ad-hoc std::chrono timing in the serving/retrieval layers: all request
-# timing goes through common/stopwatch.h (Stopwatch, SleepForMillis) or the
-# obs span types so the trace spans see it too.
+# timing goes through common/stopwatch.h (Stopwatch, SleepForMillis) or
+# obs::Span so the request's span tree sees it too.
 hits=$(grep -rnE 'std::chrono|steady_clock|high_resolution_clock' \
     src/serve/ src/retrieval/ --include='*.cc' --include='*.h' \
     | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)
@@ -154,9 +155,18 @@ fi
 # -- Rule 9: recorded stage names are slow-log columns ------------------------
 listed=$(sed -n '/kSlowLogStages\[\] = {/,/};/p' src/obs/reqtrace.cc \
     | grep -oE '"[a-z_0-9]+"' | tr -d '"' | sort -u)
-recorded=$(grep -rhoE 'StageSpan[[:space:]]+[a-z_0-9]+\([^,]*,[[:space:]]*"[a-z_0-9]+"|->Record\("[a-z_0-9]+"' \
-    src/ --include='*.cc' --include='*.h' \
-    | grep -oE '"[a-z_0-9]+"$' | tr -d '"' | sort -u)
+# Comments stripped and lines joined, so a declaration wrapped over several
+# lines is still seen whole. A span whose trace argument is nullptr feeds only
+# its histogram; every other named span can reach a request tree.
+joined=$(find src/ -name '*.cc' -o -name '*.h' | sort | xargs sed -e 's://.*$::' \
+    | tr '\n' ' ')
+recorded=$( {
+  echo "$joined" \
+    | grep -oE '\bSpan[[:space:]]+[A-Za-z_0-9]+[({][[:space:]]*"[^"]*"[[:space:]]*,[^,;]*,[^;]*;' \
+    | grep -vE ',[[:space:]]*nullptr[[:space:]]*[)}][[:space:]]*;$' \
+    | grep -oE '[({][[:space:]]*"[^"]*"'
+  echo "$joined" | grep -oE -- '->Record\([[:space:]]*"[^"]*"'
+} | grep -oE '"[^"]*"$' | tr -d '"' | sort -u)
 if [[ -z "$listed" ]]; then
   report "cannot read kSlowLogStages from src/obs/reqtrace.cc" ""
 fi
