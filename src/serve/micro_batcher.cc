@@ -59,7 +59,6 @@ std::future<MicroBatcher::BatchResult> MicroBatcher::SubmitBatch(
       throw std::runtime_error("MicroBatcher: submit after shutdown");
     }
     for (size_t i = 0; i < n; ++i) queue_.push_back(Item{group, i});
-    stats_.requests += n;
   }
   requests_counter_->Add(n);
   work_ready_.NotifyOne();
@@ -88,11 +87,6 @@ void MicroBatcher::Shutdown() {
   if (batcher_.joinable()) batcher_.join();
 }
 
-MicroBatcher::Stats MicroBatcher::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
 void MicroBatcher::BatcherLoop() {
   std::vector<Item> batch;
   while (true) {
@@ -108,8 +102,6 @@ void MicroBatcher::BatcherLoop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      ++stats_.batches;
-      stats_.max_batch = std::max<uint64_t>(stats_.max_batch, take);
     }
     batches_counter_->Increment();
     batch_size_hist_->Record(static_cast<double>(take));

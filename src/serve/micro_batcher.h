@@ -46,22 +46,13 @@ class MicroBatcher {
   struct Options {
     size_t threads = 1;     ///< ThreadPool workers per batch.
     size_t max_batch = 32;  ///< Hard cap on one batch's size.
-    /// Where batcher metrics (batch-size distribution, request/batch
-    /// counters) register. nullptr = the process-global registry;
-    /// QueryService points this at its own instance.
+    /// Where batcher metrics register: serve/batcher/requests (trajectories
+    /// submitted), serve/batcher/batches (batches executed) and
+    /// serve/batcher/batch_size (items per batch; its max is the largest
+    /// batch). They are the batcher's only counts. nullptr = the
+    /// process-global registry; QueryService points this at its own
+    /// instance.
     obs::MetricsRegistry* registry = nullptr;
-  };
-
-  struct Stats {
-    uint64_t requests = 0;  ///< Trajectories submitted.
-    uint64_t batches = 0;   ///< Batches executed.
-    uint64_t max_batch = 0;  ///< Largest batch seen.
-
-    double mean_batch_size() const {
-      return batches == 0 ? 0.0
-                          : static_cast<double>(requests) /
-                                static_cast<double>(batches);
-    }
   };
 
   /// Outcome of one submitted group. embeddings[i] is valid iff
@@ -108,8 +99,6 @@ class MicroBatcher {
   /// thread. Idempotent; also run by the destructor.
   void Shutdown() NEUTRAJ_EXCLUDES(mu_, join_mu_);
 
-  Stats stats() const NEUTRAJ_EXCLUDES(mu_);
-
  private:
   /// One submitted group; shared by its queued items, completed (promise
   /// fulfilled) by whichever worker finishes the last item.
@@ -136,15 +125,13 @@ class MicroBatcher {
   const NeuTrajModel& model_;
   const Options opts_;
 
-  mutable Mutex mu_{lock_rank::kBatcher};
+  Mutex mu_{lock_rank::kBatcher};
   Mutex join_mu_{lock_rank::kBatcherJoin};  ///< Serializes Shutdown()'s join.
   CondVar work_ready_;
   std::deque<Item> queue_ NEUTRAJ_GUARDED_BY(mu_);
   bool shutdown_ NEUTRAJ_GUARDED_BY(mu_) = false;
-  Stats stats_ NEUTRAJ_GUARDED_BY(mu_);
 
-  // Registry-owned metrics, resolved once in the constructor. batch_size_
-  // records how many items each executed batch carried.
+  // Registry-owned metrics, resolved once in the constructor.
   obs::ConcurrentHistogram* batch_size_hist_;
   obs::Counter* requests_counter_;
   obs::Counter* batches_counter_;

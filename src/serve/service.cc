@@ -117,7 +117,8 @@ bool QueryService::CollectEncode(
   }
   group->push_back(std::move(req.traj));
   if (traces != nullptr) {
-    traces->push_back(tracer_.Begin(req.trace, "encode"));
+    traces->push_back(
+        tracer_.Begin(req.trace, EndpointName(Endpoint::kEncode)));
   }
   return true;
 }
@@ -169,14 +170,9 @@ std::vector<WireFrame> QueryService::FinishEncodes(PendingEncodes pending) {
 }
 
 StatsSnapshot QueryService::Snapshot() const {
-  StatsSnapshot snap = stats_.Snapshot();
+  StatsSnapshot snap = stats_.Snapshot(registry_.Snapshot());
   snap.corpus_size = db_->size();
   snap.dim = static_cast<uint32_t>(db_->dim());
-  const MicroBatcher::Stats bs = batcher_.stats();
-  snap.batched_requests = bs.requests;
-  snap.batches = bs.batches;
-  snap.mean_batch_size = bs.mean_batch_size();
-  snap.metrics = registry_.Snapshot().Flatten();
   return snap;
 }
 
@@ -239,7 +235,7 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       if (!ParseEncodeRequest(request.payload, &req)) {
         return ErrorFrame(ErrorCode::kBadRequest, "malformed encode request");
       }
-      *trace = tracer_.Begin(req.trace, "encode");
+      *trace = tracer_.Begin(req.trace, EndpointName(*endpoint));
       CheckTrajectory(req.traj, "trajectory");
       EncodeResponse resp;
       resp.embedding = batcher_.Encode(req.traj, trace->get());
@@ -255,7 +251,7 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       if (!ParsePairSimRequest(request.payload, &req)) {
         return ErrorFrame(ErrorCode::kBadRequest, "malformed pairsim request");
       }
-      *trace = tracer_.Begin(req.trace, "pairsim");
+      *trace = tracer_.Begin(req.trace, EndpointName(*endpoint));
       CheckTrajectory(req.a, "trajectory a");
       CheckTrajectory(req.b, "trajectory b");
       // One two-item group: both trajectories share a batch and one
@@ -289,7 +285,7 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       if (!ParseTopKRequest(request.payload, &req)) {
         return ErrorFrame(ErrorCode::kBadRequest, "malformed topk request");
       }
-      *trace = tracer_.Begin(req.trace, "topk");
+      *trace = tracer_.Begin(req.trace, EndpointName(*endpoint));
       obs::RequestTrace* t = trace->get();
       CheckTrajectory(req.query, "query trajectory");
       if (req.k == 0) {
@@ -315,7 +311,7 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       if (!ParseInsertRequest(request.payload, &req)) {
         return ErrorFrame(ErrorCode::kBadRequest, "malformed insert request");
       }
-      *trace = tracer_.Begin(req.trace, "insert");
+      *trace = tracer_.Begin(req.trace, EndpointName(*endpoint));
       obs::RequestTrace* t = trace->get();
       CheckTrajectory(req.traj, "trajectory");
       // A degraded store refuses before the (expensive) encode, not after.

@@ -130,8 +130,9 @@ class QueryService {
   }
   obs::RequestTracer& tracer() { return tracer_; }
 
-  /// Endpoint counters plus corpus/batcher gauges and the flattened
-  /// registry metrics, ready to serialize.
+  /// The Stats reply, ready to serialize: endpoint rows, batcher fields and
+  /// flattened metrics from one snapshot of registry_, plus the corpus
+  /// shape.
   StatsSnapshot Snapshot() const;
 
   const NeuTrajModel& model() const { return model_; }

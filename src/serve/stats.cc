@@ -1,7 +1,7 @@
 #include "serve/stats.h"
 
 #include <algorithm>
-#include <cmath>
+#include <set>
 
 #include "common/string_util.h"
 
@@ -21,14 +21,33 @@ const char* EndpointName(Endpoint e) {
   return "unknown";
 }
 
+namespace {
+
+/// The registry name of endpoint `i`'s metric `suffix`.
+std::string EndpointMetric(size_t i, const char* suffix) {
+  return std::string("serve/") + EndpointName(static_cast<Endpoint>(i)) +
+         suffix;
+}
+
+/// The value named `name` in one section of a MetricsSnapshot; empty (zero)
+/// when the registry never registered it.
+template <typename V>
+V Lookup(const std::vector<std::pair<std::string, V>>& rows,
+         const std::string& name) {
+  for (const auto& [key, value] : rows) {
+    if (key == name) return value;
+  }
+  return V();
+}
+
+}  // namespace
+
 ServerStats::ServerStats(obs::MetricsRegistry* registry) {
   obs::MetricsRegistry& reg =
       registry != nullptr ? *registry : obs::MetricsRegistry::Global();
   for (size_t i = 0; i < per_.size(); ++i) {
-    const std::string base =
-        std::string("serve/") + EndpointName(static_cast<Endpoint>(i));
-    per_[i].hist = &reg.GetHistogram(base + "/latency_us");
-    per_[i].errors = &reg.GetCounter(base + "/errors");
+    per_[i].hist = &reg.GetHistogram(EndpointMetric(i, "/latency_us"));
+    per_[i].errors = &reg.GetCounter(EndpointMetric(i, "/errors"));
   }
 }
 
@@ -38,16 +57,17 @@ void ServerStats::Record(Endpoint e, double micros, bool error) {
   if (error) pe.errors->Increment();
 }
 
-StatsSnapshot ServerStats::Snapshot() const {
+StatsSnapshot ServerStats::Snapshot(const obs::MetricsSnapshot& metrics) const {
   StatsSnapshot snap;
   snap.uptime_seconds = uptime_.ElapsedSeconds();
   const double uptime = std::max(snap.uptime_seconds, 1e-9);
   for (size_t i = 0; i < per_.size(); ++i) {
-    const LatencyHistogram hist = per_[i].hist->Snapshot();
+    const obs::LatencyHistogram hist =
+        Lookup(metrics.histograms, EndpointMetric(i, "/latency_us"));
     EndpointSnapshot es;
     es.name = EndpointName(static_cast<Endpoint>(i));
     es.requests = hist.count();
-    es.errors = per_[i].errors->Value();
+    es.errors = Lookup(metrics.counters, EndpointMetric(i, "/errors"));
     es.qps = static_cast<double>(es.requests) / uptime;
     es.mean_micros = hist.mean_micros();
     es.p50_micros = hist.PercentileMicros(0.50);
@@ -56,6 +76,13 @@ StatsSnapshot ServerStats::Snapshot() const {
     es.max_micros = hist.max_micros();
     snap.endpoints.push_back(std::move(es));
   }
+  snap.batched_requests = Lookup(metrics.counters, "serve/batcher/requests");
+  snap.batches = Lookup(metrics.counters, "serve/batcher/batches");
+  snap.mean_batch_size = snap.batches == 0
+                             ? 0.0
+                             : static_cast<double>(snap.batched_requests) /
+                                   static_cast<double>(snap.batches);
+  snap.metrics = metrics.Flatten();
   return snap;
 }
 
@@ -86,34 +113,28 @@ std::string StatsSnapshot::ToString() const {
 
 std::string StatsSnapshot::ToPrometheus() const {
   std::string out;
-  {
-    const std::string p = obs::PrometheusName("serve/uptime_seconds");
-    out += StrFormat("# TYPE %s gauge\n%s %.17g\n", p.c_str(), p.c_str(),
-                     uptime_seconds);
-  }
-  {
-    const std::string p = obs::PrometheusName("serve/corpus_size");
-    out += StrFormat("# TYPE %s gauge\n%s %llu\n", p.c_str(), p.c_str(),
-                     static_cast<unsigned long long>(corpus_size));
-  }
+  // The first rendering of a name wins, so each family is typed once: the
+  // endpoint error counters stay counters, and their flattened copies in
+  // `metrics` (which the wire carries without a kind) are skipped.
+  std::set<std::string> seen;
+  const auto family = [&](const std::string& name, const char* type,
+                          double value) {
+    const std::string p = obs::PrometheusName(name);
+    if (!seen.insert(p).second) return;
+    out += StrFormat("# TYPE %s %s\n%s %.17g\n", p.c_str(), type, p.c_str(),
+                     value);
+  };
+  family("serve/uptime_seconds", "gauge", uptime_seconds);
+  family("serve/corpus_size", "gauge", static_cast<double>(corpus_size));
   for (const EndpointSnapshot& e : endpoints) {
     const std::string base = "serve/" + e.name;
-    const std::string req = obs::PrometheusName(base + "/requests");
-    out += StrFormat("# TYPE %s counter\n%s %llu\n", req.c_str(), req.c_str(),
-                     static_cast<unsigned long long>(e.requests));
-    const std::string err = obs::PrometheusName(base + "/errors");
-    out += StrFormat("# TYPE %s counter\n%s %llu\n", err.c_str(), err.c_str(),
-                     static_cast<unsigned long long>(e.errors));
+    family(base + "/requests", "counter", static_cast<double>(e.requests));
+    family(base + "/errors", "counter", static_cast<double>(e.errors));
   }
-  // The flattened registry metrics (already name/value pairs) as gauges; the
-  // full-resolution histogram buckets are available server-side via
-  // RenderPrometheus over the registry, but a remote scrape only sees the
-  // snapshot the wire carries.
-  for (const auto& [name, value] : metrics) {
-    const std::string p = obs::PrometheusName(name);
-    out += StrFormat("# TYPE %s gauge\n%s %.17g\n", p.c_str(), p.c_str(),
-                     value);
-  }
+  // The flattened registry metrics as gauges; the full-resolution histogram
+  // buckets are available server-side via RenderPrometheus over the
+  // registry, but a remote scrape only sees the snapshot the wire carries.
+  for (const auto& [name, value] : metrics) family(name, "gauge", value);
   return out;
 }
 

@@ -3,14 +3,15 @@
 // ServerStats is a thin per-endpoint view over an obs::MetricsRegistry: each
 // endpoint resolves its latency histogram ("serve/<name>/latency_us") and
 // error counter ("serve/<name>/errors") once at construction, so Record is
-// entirely lock-free — per-endpoint atomic increments, no shared mutex. That
-// removes the single-lock contention the old implementation put on every
-// request when many handler threads record concurrently.
+// entirely lock-free — per-endpoint atomic increments, no shared mutex.
 //
-// The histogram type itself (log2 microsecond buckets, bucket 0 = [0, 1] µs
-// inclusive, bucket i >= 1 = (2^(i-1), 2^i] µs) now lives in obs/metrics.h so
-// trainer and database timings share the serving bucket layout; the alias
-// below keeps existing serve-side call sites compiling unchanged.
+// The registry is the only record of serving counts. A Stats reply is built
+// from one registry snapshot: the endpoint rows, the batcher fields and the
+// flattened metrics all come from it, so the two halves of one reply cannot
+// disagree.
+//
+// The histogram type (log2 microsecond buckets) is obs::LatencyHistogram,
+// shared with the trainer and database timings.
 //
 // All timing flows through Stopwatch (steady_clock); nothing here reads the
 // wall clock.
@@ -20,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,9 +29,6 @@
 #include "obs/metrics.h"
 
 namespace neutraj::serve {
-
-/// The histogram moved to obs/metrics.h; serve code keeps its old name.
-using LatencyHistogram = obs::LatencyHistogram;
 
 /// The service's request kinds, indexing the per-endpoint counters.
 enum class Endpoint : size_t {
@@ -65,29 +62,30 @@ struct StatsSnapshot {
   double uptime_seconds = 0.0;
   uint64_t corpus_size = 0;
   uint32_t dim = 0;
-  // Micro-batcher counters: how well encode work is being coalesced.
+  // Micro-batcher counters (serve/batcher/requests and /batches): how well
+  // encode work is being coalesced.
   uint64_t batched_requests = 0;
   uint64_t batches = 0;
   double mean_batch_size = 0.0;
   std::vector<EndpointSnapshot> endpoints;
-  /// Flattened registry metrics (batcher wait/batch-size distributions,
-  /// embedding-DB timings, corpus gauge, ...). Serialized as an optional
-  /// trailing wire section, so old clients parse everything above this field
-  /// and new clients get the full registry.
+  /// Flattened registry metrics (batch-size distribution, endpoint
+  /// latencies, embedding-DB timings, corpus gauge, ...). Serialized as an
+  /// optional trailing wire section, so old clients parse everything above
+  /// this field and new clients get the full registry.
   std::vector<std::pair<std::string, double>> metrics;
 
   /// Human-readable multi-line rendering (client CLI, logs).
   std::string ToString() const;
 
-  /// Prometheus text exposition rendering of the flattened metrics plus the
-  /// endpoint counters, for scraping via `neutraj_client stats --prometheus`.
+  /// Prometheus text exposition rendering of the endpoint counters plus the
+  /// flattened metrics, for scraping via `neutraj_client stats --prometheus`.
+  /// Each metric family appears once.
   std::string ToPrometheus() const;
 };
 
 /// Per-endpoint latency/error view over a MetricsRegistry. Record is
 /// lock-free: each endpoint's histogram and error counter are resolved once
-/// at construction and shared with the registry, so a stats snapshot sees
-/// them under their registry names too.
+/// at construction and live in the registry under their registry names.
 class ServerStats {
  public:
   /// Metrics are registered in (and owned by) `registry`, which must outlive
@@ -98,9 +96,12 @@ class ServerStats {
 
   void Record(Endpoint e, double micros, bool error);
 
-  /// Frozen endpoint counters; the caller fills the corpus/batcher/metrics
-  /// fields.
-  StatsSnapshot Snapshot() const;
+  /// Everything a Stats reply carries except the corpus shape, derived from
+  /// one snapshot of this object's registry: the endpoint rows from the
+  /// serve/<name>/latency_us histograms and serve/<name>/errors counters,
+  /// the batcher fields from serve/batcher/requests and /batches, and
+  /// `metrics` from metrics.Flatten(). The caller fills corpus_size and dim.
+  StatsSnapshot Snapshot(const obs::MetricsSnapshot& metrics) const;
 
  private:
   struct PerEndpoint {

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/file_util.h"
-#include "common/framing.h"
 #include "obs/trace.h"
 
 namespace neutraj::store {
@@ -57,7 +56,7 @@ std::string DurableStore::degraded_reason() const {
 
 size_t DurableStore::wal_records() const {
   MutexLock lock(mu_);
-  return wal_records_;
+  return wal_ != nullptr ? wal_->appended_records() : 0;
 }
 
 void DurableStore::DegradeLocked(const std::string& reason) {
@@ -111,8 +110,7 @@ DurableStore::RecoveryInfo DurableStore::Open() {
     if (r.tail != WalTail::kClean) tail_truncations_->Increment();
   }
 
-  wal_ = std::make_unique<WalWriter>(wal_path_, files_, opts_.sync_writes);
-  wal_records_ = 0;
+  wal_ = std::make_unique<WalWriter>(wal_path_, files_);
   opened_ = true;
 
   if (!wal_bytes.empty()) {
@@ -152,8 +150,9 @@ size_t DurableStore::Insert(const nn::Vector& embedding,
         std::to_string(db_->dim()));
   }
   obs::Span wal_span("wal", nullptr, trace);
+  size_t record_bytes = 0;
   try {
-    wal_->Append({seq, embedding});
+    record_bytes = wal_->Append({seq, embedding});
   } catch (const StoreError& e) {
     // Not logged => must not be applied or acknowledged.
     DegradeLocked(e.what());
@@ -162,13 +161,13 @@ size_t DurableStore::Insert(const nn::Vector& embedding,
   wal_span.Stop();
   const size_t id = db_->Insert(embedding);
   NEUTRAJ_ASSERT_MSG(id == seq, "DurableStore: WAL seq diverged from corpus id");
-  ++wal_records_;
   append_span.Stop();
   wal_appends_->Increment();
-  wal_bytes_->Add(kWireHeaderSize + 12 + 8 * embedding.size());
-  live_wal_records_->Set(static_cast<double>(wal_records_));
+  wal_bytes_->Add(record_bytes);
+  const uint64_t live_records = wal_->appended_records();
+  live_wal_records_->Set(static_cast<double>(live_records));
 
-  if (opts_.compact_every > 0 && wal_records_ >= opts_.compact_every) {
+  if (opts_.compact_every > 0 && live_records >= opts_.compact_every) {
     try {
       CompactLocked(trace);
     } catch (const StoreError& e) {
@@ -212,7 +211,6 @@ void DurableStore::CompactLocked(obs::RequestTrace* trace) {
   files_->Rename(tmp, snapshot_path_);
   files_->SyncDirectory(opts_.data_dir);
   wal_->Reset();
-  wal_records_ = 0;
   live_wal_records_->Set(0.0);
   compactions_->Increment();
 }

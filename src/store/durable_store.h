@@ -63,9 +63,6 @@ class DurableStore {
     /// WAL records that trigger an automatic compaction from Insert();
     /// 0 compacts only on explicit Compact() / Open().
     size_t compact_every = 1024;
-    /// fsync each WAL append. Production default; the fault harness turns
-    /// it off because FaultyFile intercepts syncs anyway.
-    bool sync_writes = true;
     /// I/O seam; nullptr uses FileFactory::Posix().
     FileFactory* files = nullptr;
   };
@@ -113,7 +110,7 @@ class DurableStore {
   bool read_only() const { return degraded_.load(); }
   std::string degraded_reason() const NEUTRAJ_EXCLUDES(mu_);
 
-  /// Live WAL records since the last compaction.
+  /// Live WAL records since the last compaction (0 before Open).
   size_t wal_records() const NEUTRAJ_EXCLUDES(mu_);
 
   const std::string& snapshot_path() const { return snapshot_path_; }
@@ -141,7 +138,6 @@ class DurableStore {
   mutable Mutex mu_{lock_rank::kStore};
   std::unique_ptr<WalWriter> wal_ NEUTRAJ_GUARDED_BY(mu_)
       NEUTRAJ_PT_GUARDED_BY(mu_);
-  size_t wal_records_ NEUTRAJ_GUARDED_BY(mu_) = 0;
   bool opened_ NEUTRAJ_GUARDED_BY(mu_) = false;
   std::string degraded_reason_ NEUTRAJ_GUARDED_BY(mu_);
   std::atomic<bool> degraded_{false};

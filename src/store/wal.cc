@@ -97,23 +97,20 @@ WalReplayResult ReplayWal(const std::string& bytes, EmbeddingDatabase* db) {
   return result;
 }
 
-WalWriter::WalWriter(std::string path, FileFactory* factory, bool sync)
-    : path_(std::move(path)),
-      file_(factory->OpenAppend(path_)),
-      sync_(sync) {}
+WalWriter::WalWriter(std::string path, FileFactory* factory)
+    : path_(std::move(path)), file_(factory->OpenAppend(path_)) {}
 
-void WalWriter::Append(const WalRecord& rec) {
+size_t WalWriter::Append(const WalRecord& rec) {
   const std::string bytes = EncodeWalRecord(rec);
   file_->Append(bytes);
-  if (sync_) file_->Sync();
+  file_->Sync();
   ++appended_records_;
-  appended_bytes_ += bytes.size();
+  return bytes.size();
 }
 
 void WalWriter::Reset() {
   file_->Truncate();
   appended_records_ = 0;
-  appended_bytes_ = 0;
 }
 
 }  // namespace neutraj::store

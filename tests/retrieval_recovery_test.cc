@@ -76,7 +76,6 @@ DurableStore::Options Opts(const std::string& data_dir, FileFactory* files) {
   DurableStore::Options o;
   o.data_dir = data_dir;
   o.compact_every = kCompactEvery;
-  o.sync_writes = true;
   o.files = files;
   return o;
 }

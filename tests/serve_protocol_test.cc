@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -850,8 +851,10 @@ TEST(ProtocolTest, BitFlipFuzzedPayloadsNeverCrashParsers) {
 
 TEST(MicroBatcherTest, SubmitBatchMatchesDirectEmbedExactly) {
   const NeuTrajModel model = MakeModel();
+  obs::MetricsRegistry registry;
   MicroBatcher::Options opts;
   opts.threads = 4;
+  opts.registry = &registry;
   MicroBatcher batcher(model, opts);
   Rng rng(11);
   std::vector<Trajectory> trajs;
@@ -864,15 +867,17 @@ TEST(MicroBatcherTest, SubmitBatchMatchesDirectEmbedExactly) {
     EXPECT_TRUE(r.errors[i].empty()) << r.errors[i];
     EXPECT_EQ(r.embeddings[i], model.Embed(trajs[i])) << "item " << i;
   }
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, trajs.size());
-  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(registry.GetCounter("serve/batcher/requests").Value(),
+            trajs.size());
+  EXPECT_GE(registry.GetCounter("serve/batcher/batches").Value(), 1u);
 }
 
 TEST(MicroBatcherTest, GroupsSplitAcrossSmallBatchesStayCorrect) {
   const NeuTrajModel model = MakeModel();
+  obs::MetricsRegistry registry;
   MicroBatcher::Options opts;
   opts.max_batch = 3;
+  opts.registry = &registry;
   MicroBatcher batcher(model, opts);
   Rng rng(13);
   std::vector<Trajectory> trajs;
@@ -883,9 +888,11 @@ TEST(MicroBatcherTest, GroupsSplitAcrossSmallBatchesStayCorrect) {
   for (size_t i = 0; i < trajs.size(); ++i) {
     EXPECT_EQ(r.embeddings[i], model.Embed(trajs[i])) << "item " << i;
   }
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_GE(stats.batches, 4u) << "10 items with max_batch=3";
-  EXPECT_LE(stats.max_batch, 3u);
+  EXPECT_GE(registry.GetCounter("serve/batcher/batches").Value(), 4u)
+      << "10 items with max_batch=3";
+  EXPECT_LE(
+      registry.GetHistogram("serve/batcher/batch_size").Snapshot().max_micros(),
+      3.0);
 }
 
 TEST(MicroBatcherTest, PerItemFailureDoesNotFailTheGroup) {
@@ -974,14 +981,19 @@ TEST(MicroBatcherTest, IdleBatcherDispatchesAtOnce) {
 
 TEST(MicroBatcherTest, ItemsQueuedBehindARunningBatchShipTogether) {
   const NeuTrajModel model = MakeModel();
-  MicroBatcher batcher(model, MicroBatcher::Options{});
+  obs::MetricsRegistry registry;
+  MicroBatcher::Options opts;
+  opts.registry = &registry;
+  MicroBatcher batcher(model, opts);
+  const obs::Counter& requests = registry.GetCounter("serve/batcher/requests");
+  const obs::Counter& batches = registry.GetCounter("serve/batcher/batches");
   Rng rng(23);
   std::vector<Trajectory> slow;
   slow.push_back(RandomTrajectory(200000, 100.0, &rng));
   std::future<MicroBatcher::BatchResult> slow_result =
       batcher.SubmitBatch(std::move(slow));
   // Batch 1 (the slow item alone) is counted when the batcher takes it.
-  while (batcher.stats().batches == 0) std::this_thread::yield();
+  while (batches.Value() == 0) std::this_thread::yield();
 
   std::vector<std::future<MicroBatcher::BatchResult>> quick;
   for (int i = 0; i < 8; ++i) {
@@ -995,10 +1007,11 @@ TEST(MicroBatcherTest, ItemsQueuedBehindARunningBatchShipTogether) {
   EXPECT_TRUE(slow_result.get().errors[0].empty());
   for (auto& f : quick) EXPECT_TRUE(f.get().errors[0].empty());
 
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 9u);
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.max_batch, 8u);
+  EXPECT_EQ(requests.Value(), 9u);
+  EXPECT_EQ(batches.Value(), 2u);
+  EXPECT_EQ(
+      registry.GetHistogram("serve/batcher/batch_size").Snapshot().max_micros(),
+      8.0);
 }
 
 // -- QueryService ------------------------------------------------------------
@@ -1154,6 +1167,89 @@ TEST_F(ServiceTest, StatsCountRequestsAndErrors) {
   EXPECT_EQ(encode.requests, 4u);
   EXPECT_EQ(encode.errors, 1u);
   EXPECT_GT(encode.qps, 0.0);
+}
+
+TEST_F(ServiceTest, StatsReplyAgreesWithItsOwnMetrics) {
+  // The endpoint rows, the batcher fields and the flattened metrics of one
+  // reply come from one registry snapshot, so they must match exactly.
+  constexpr uint64_t kEncodes = 5;
+  constexpr uint64_t kTopKs = 3;
+  Rng rng(47);
+  const Trajectory t = RandomTrajectory(5, 100.0, &rng);
+  for (uint64_t i = 0; i < kEncodes; ++i) {
+    svc_.Handle(Req(MsgType::kEncodeRequest, SerializeEncodeRequest({t})));
+  }
+  for (uint64_t i = 0; i < kTopKs; ++i) {
+    svc_.Handle(Req(MsgType::kTopKRequest, SerializeTopKRequest({t, 3, -1})));
+  }
+  svc_.Handle(Req(MsgType::kTopKRequest, "garbage"));  // One error.
+
+  StatsResponse resp;
+  ASSERT_TRUE(ParseStatsResponse(
+      svc_.Handle(Req(MsgType::kStatsRequest)).payload, &resp));
+  const StatsSnapshot& s = resp.stats;
+  std::map<std::string, double> metrics(s.metrics.begin(), s.metrics.end());
+  const auto metric = [&metrics](const std::string& name) {
+    const auto it = metrics.find(name);
+    EXPECT_NE(it, metrics.end()) << "missing metric " << name;
+    return it != metrics.end() ? it->second : -1.0;
+  };
+  ASSERT_EQ(s.endpoints.size(), static_cast<size_t>(Endpoint::kCount));
+  for (const EndpointSnapshot& e : s.endpoints) {
+    const std::string base = "serve/" + e.name;
+    EXPECT_EQ(static_cast<double>(e.requests),
+              metric(base + "/latency_us/count"))
+        << e.name;
+    EXPECT_EQ(static_cast<double>(e.errors), metric(base + "/errors"))
+        << e.name;
+  }
+  const EndpointSnapshot& topk =
+      s.endpoints[static_cast<size_t>(Endpoint::kTopK)];
+  EXPECT_EQ(topk.requests, kTopKs + 1);
+  EXPECT_EQ(topk.errors, 1u);
+  EXPECT_EQ(s.endpoints[static_cast<size_t>(Endpoint::kEncode)].requests,
+            kEncodes);
+  EXPECT_EQ(static_cast<double>(s.batched_requests),
+            metric("serve/batcher/requests"));
+  EXPECT_EQ(static_cast<double>(s.batches), metric("serve/batcher/batches"));
+  // Every good encode and TopK query went through the batcher once.
+  EXPECT_EQ(s.batched_requests, kEncodes + kTopKs);
+  EXPECT_DOUBLE_EQ(s.mean_batch_size, static_cast<double>(s.batched_requests) /
+                                          static_cast<double>(s.batches));
+}
+
+TEST_F(ServiceTest, PrometheusRendersEachFamilyOnce) {
+  Rng rng(53);
+  const Trajectory t = RandomTrajectory(5, 100.0, &rng);
+  svc_.Handle(Req(MsgType::kEncodeRequest, SerializeEncodeRequest({t})));
+  svc_.Handle(Req(MsgType::kEncodeRequest, "garbage"));  // One error.
+  svc_.Handle(Req(MsgType::kTopKRequest, SerializeTopKRequest({t, 3, -1})));
+  svc_.Handle(Req(MsgType::kHealthRequest));
+
+  // Both the service's own snapshot and the one a client parses off the
+  // wire (what `neutraj_client stats --prometheus` renders).
+  StatsResponse parsed;
+  ASSERT_TRUE(ParseStatsResponse(
+      svc_.Handle(Req(MsgType::kStatsRequest)).payload, &parsed));
+  for (const StatsSnapshot& snap : {svc_.Snapshot(), parsed.stats}) {
+    const std::string text = snap.ToPrometheus();
+    std::map<std::string, int> types;
+    size_t pos = 0;
+    while ((pos = text.find("# TYPE ", pos)) != std::string::npos) {
+      pos += 7;
+      const size_t end = text.find(' ', pos);
+      ++types[text.substr(pos, end - pos)];
+    }
+    EXPECT_FALSE(types.empty());
+    for (const auto& [name, count] : types) {
+      EXPECT_EQ(count, 1) << name << " is typed " << count << " times";
+    }
+    // The endpoint error counters keep their counter type.
+    EXPECT_NE(text.find("# TYPE neutraj_serve_encode_errors counter\n"
+                        "neutraj_serve_encode_errors 1\n"),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST_F(ServiceTest, DrainingRefusesWorkButServesHealthAndStats) {
@@ -1312,7 +1408,7 @@ TEST(EmbeddingDbServeTest, ModelInsertMatchesDirectEmbed) {
 // -- Serving stats -----------------------------------------------------------
 
 TEST(LatencyHistogramTest, BucketsMeanMaxAndPercentiles) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   EXPECT_EQ(h.PercentileMicros(0.5), 0.0);
   for (int i = 0; i < 90; ++i) h.Record(3.0);    // Bucket (2, 4].
   for (int i = 0; i < 10; ++i) h.Record(100.0);  // Bucket (64, 128].
@@ -1336,7 +1432,7 @@ TEST(ServerStatsTest, SnapshotFreezesPerEndpointCounters) {
   stats.Record(Endpoint::kEncode, 10.0, /*error=*/false);
   stats.Record(Endpoint::kEncode, 20.0, /*error=*/true);
   stats.Record(Endpoint::kTopK, 5.0, /*error=*/false);
-  const StatsSnapshot snap = stats.Snapshot();
+  const StatsSnapshot snap = stats.Snapshot(registry.Snapshot());
   ASSERT_EQ(snap.endpoints.size(), static_cast<size_t>(Endpoint::kCount));
   const EndpointSnapshot& encode =
       snap.endpoints[static_cast<size_t>(Endpoint::kEncode)];
@@ -1373,7 +1469,7 @@ TEST(ServerStatsTest, LockFreeRecordingKeepsExactCountsUnderContention) {
   }
   for (std::thread& t : threads) t.join();
 
-  const StatsSnapshot snap = stats.Snapshot();
+  const StatsSnapshot snap = stats.Snapshot(registry.Snapshot());
   constexpr uint64_t kTotal = uint64_t{kThreads} * kOpsPerThread;
   const EndpointSnapshot& encode =
       snap.endpoints[static_cast<size_t>(Endpoint::kEncode)];

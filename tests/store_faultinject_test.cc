@@ -63,7 +63,6 @@ DurableStore::Options Opts(const std::string& data_dir, FileFactory* files,
   DurableStore::Options o;
   o.data_dir = data_dir;
   o.compact_every = compact_every;
-  o.sync_writes = true;
   o.files = files;
   return o;
 }

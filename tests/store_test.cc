@@ -192,8 +192,9 @@ TEST_F(StoreTest, ReplayStopsAtDimMismatch) {
 
 TEST_F(StoreTest, WalWriterAppendsAndResets) {
   const std::string path = dir_ + "/wal.log";
-  WalWriter writer(path, &FileFactory::Posix(), /*sync=*/true);
-  writer.Append({0, MakeEmbedding(8, 1)});
+  WalWriter writer(path, &FileFactory::Posix());
+  const WalRecord first{0, MakeEmbedding(8, 1)};
+  EXPECT_EQ(writer.Append(first), EncodeWalRecord(first).size());
   writer.Append({1, MakeEmbedding(8, 2)});
   EXPECT_EQ(writer.appended_records(), 2u);
 
@@ -412,6 +413,9 @@ TEST_F(StoreTest, MetricsAreRegistered) {
     return -1.0;
   };
   EXPECT_EQ(value("wal/records"), 1.0);
+  // wal/bytes counts exactly the frame WalWriter wrote.
+  const std::string frame = EncodeWalRecord({0, MakeEmbedding(8, 1)});
+  EXPECT_EQ(value("wal/bytes"), static_cast<double>(frame.size()));
   EXPECT_GE(value("store/compactions"), 1.0);
   EXPECT_EQ(value("store/degraded"), 0.0);
   EXPECT_EQ(value("store/wal_records"), 0.0);  // Post-compaction.

@@ -57,6 +57,11 @@ echo "== exercise every endpoint =="
 grep -q "inserted as id" "${WORK}/insert.out"
 "${CLIENT}" stats --port "${PORT}" | tee "${WORK}/stats.out"
 grep -q "topk" "${WORK}/stats.out"
+"${CLIENT}" stats --port "${PORT}" --prometheus >"${WORK}/stats.prom"
+# A scraper rejects a second `# TYPE` line for one name.
+DUPS="$(awk '/^# TYPE/{print $3}' "${WORK}/stats.prom" | sort | uniq -d)"
+[[ -z "${DUPS}" ]] || { echo "duplicate Prometheus families: ${DUPS}" >&2; exit 1; }
+grep -q "^# TYPE neutraj_serve_topk_requests counter" "${WORK}/stats.prom"
 
 echo "== graceful drain on SIGTERM =="
 kill -TERM "${SERVER_PID}"
