@@ -45,7 +45,7 @@ double LatencyHistogram::PercentileMicros(double p) const {
     // histogram_quantile rule): without it every percentile snaps to the
     // bucket's upper power of two, and a log2 layout reports p50 == p99
     // whenever one bucket holds both — exactly the p50 == p99 == 8192 µs
-    // artifact BENCH_serving.json used to show on the batched phase.
+    // artifact the batched serving bench phase used to show.
     const double lower = b == 0 ? 0.0 : BucketUpperMicros(b - 1);
     const double upper = BucketUpperMicros(b);
     const double frac =

@@ -49,7 +49,7 @@
 //                  out sequentially on one timeline, spans keep their real
 //                  thread ids.
 //
-// Overhead contract (gated by bench_serving): tracing off — one plain load
+// Overhead contract (gated by bench_gates): tracing off — one plain load
 // per request; 1-in-64 sampling — ≤2% on the batched serving bench. Tracing
 // never touches served bytes: results are computed identically whether or
 // not a trace rides along (pinned in serve_server_test).
@@ -174,8 +174,8 @@ class RequestTrace {
   double total_override_us_ = -1.0;
 };
 
-/// Tracing knobs; lives on serve::ServerOptions and is forwarded to the
-/// service's tracer before serving.
+/// Tracing knobs, applied to a service's tracer with
+/// serve::QueryService::ConfigureTracing.
 struct ReqTraceOptions {
   /// Head-based sampling: trace 1 in N contextless requests (the server
   /// generates their ids). 0 = off. A client-supplied sampled TraceContext

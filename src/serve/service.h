@@ -123,8 +123,8 @@ class QueryService {
   retrieval::RetrievalBackend* retrieval_backend() { return backend_; }
 
   /// Applies tracing knobs (sampling rate, ring size, slow-query log) to
-  /// this service's tracer. Not thread-safe against in-flight requests —
-  /// call before serving.
+  /// this service's tracer. Safe while serving: requests read the sampling
+  /// rate from an atomic and the rest under the tracer's lock.
   void ConfigureTracing(const obs::ReqTraceOptions& opts) {
     tracer_.Configure(opts);
   }

@@ -52,6 +52,9 @@
 #      (src/obs/reqtrace.cc). An unlisted stage still feeds
 #      its reqtrace/stage/<x>_us histogram, but the slow-query log would
 #      fold it silently into other_us.
+#  10. Every BENCH_*.json at the repository root parses as JSON
+#      (python3 -m json.tool): a bench that prints nan or inf, which JSON
+#      has no literal for, leaves a file no consumer can read.
 #
 # Usage: tools/lint.sh   (from anywhere; exits non-zero on any violation)
 
@@ -173,6 +176,16 @@ fi
 hits=$(comm -13 <(echo "$listed") <(echo "$recorded"))
 if [[ -n "$hits" ]]; then
   report "stage recorded in src/ but missing from kSlowLogStages (src/obs/reqtrace.cc)" "$hits"
+fi
+
+# -- Rule 10: bench results are valid JSON ------------------------------------
+hits=""
+for f in BENCH_*.json; do
+  [[ -e "$f" ]] || continue
+  python3 -m json.tool "$f" >/dev/null 2>&1 || hits+="$f"$'\n'
+done
+if [[ -n "$hits" ]]; then
+  report "BENCH_*.json that is not valid JSON" "$hits"
 fi
 
 if [[ "$fail" -ne 0 ]]; then

@@ -28,57 +28,17 @@
 //                             span tree afterwards with the trace command.
 
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "common/file_util.h"
+#include "flags.h"
 #include "neutraj.h"
 
 namespace {
 
 using namespace neutraj;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::stoll(it->second);
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
-  std::string Require(const std::string& key) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) {
-      throw std::runtime_error("missing required flag --" + key);
-    }
-    return it->second;
-  }
-};
-
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  if (argc < 2) throw std::runtime_error("no subcommand given");
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) {
-      throw std::runtime_error("unexpected argument: " + token);
-    }
-    token = token.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      const std::string value = argv[++i];
-      args.flags[token] = value;
-    } else {
-      args.flags[token] = std::string("1");
-    }
-  }
-  return args;
-}
+using flags::Args;
 
 void PrintUsage() {
   std::printf(
@@ -210,7 +170,7 @@ int Run(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return Run(ParseArgs(argc, argv));
+    return Run(flags::ParseArgs(argc, argv, /*subcommand=*/true));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -53,56 +53,19 @@
 // requests carrying --trace-id are traced regardless of the sampling rate.
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 
-#include "neutraj.h"
 #include "common/errors.h"
 #include "common/file_util.h"
+#include "flags.h"
+#include "neutraj.h"
 
 namespace {
 
 using namespace neutraj;
 
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::stoll(it->second);
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
-  std::string Require(const std::string& key) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) {
-      throw std::runtime_error("missing required flag --" + key);
-    }
-    return it->second;
-  }
-};
-
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) {
-      throw std::runtime_error("unexpected argument: " + token);
-    }
-    token = token.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      const std::string value = argv[++i];
-      args.flags[token] = value;
-    } else {
-      args.flags[token] = std::string("1");
-    }
-  }
-  return args;
-}
+using flags::Args;
 
 void PrintUsage() {
   std::printf(
@@ -205,18 +168,18 @@ int Run(const Args& args) {
   server_opts.port = static_cast<uint16_t>(args.GetInt("port", 0));
   server_opts.idle_timeout_ms =
       static_cast<uint32_t>(args.GetInt("idle-timeout-ms", 0));
-  server_opts.trace.sample_every =
+  obs::ReqTraceOptions trace_opts;
+  trace_opts.sample_every =
       static_cast<uint32_t>(args.GetInt("trace-sample-every", 0));
-  server_opts.trace.slow_log_path = args.Get("slow-query-log");
-  server_opts.trace.slow_threshold_us =
+  trace_opts.slow_log_path = args.Get("slow-query-log");
+  trace_opts.slow_threshold_us =
       static_cast<double>(args.GetInt("slow-query-threshold-us", 10000));
-  if (server_opts.trace.sample_every != 0 ||
-      !server_opts.trace.slow_log_path.empty()) {
+  service.ConfigureTracing(trace_opts);
+  if (trace_opts.sample_every != 0 || !trace_opts.slow_log_path.empty()) {
     std::printf("request tracing: sample 1-in-%u%s%s\n",
-                server_opts.trace.sample_every,
-                server_opts.trace.slow_log_path.empty() ? ""
-                                                        : ", slow-query log ",
-                server_opts.trace.slow_log_path.c_str());
+                trace_opts.sample_every,
+                trace_opts.slow_log_path.empty() ? "" : ", slow-query log ",
+                trace_opts.slow_log_path.c_str());
   }
   serve::Server server(&service, server_opts);
   server.Start();
@@ -251,7 +214,7 @@ int Run(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return Run(ParseArgs(argc, argv));
+    return Run(flags::ParseArgs(argc, argv, /*subcommand=*/false));
   } catch (const neutraj::CorruptionError& e) {
     // Corrupt persistent state is an operational problem, not a usage one:
     // report the typed context (source file, section, byte offset) and stop.

@@ -31,7 +31,7 @@ echo "== generate + train a tiny model =="
 
 echo "== start server =="
 "${SERVER}" --model "${WORK}/model.ntj" --data "${WORK}/corpus.csv" \
-  --port 0 --port-file "${WORK}/port" --threads 2 \
+  --port 0 --port-file "${WORK}/port" --threads 2 --trace-sample-every 1 \
   --save-db "${WORK}/final.embdb" >"${WORK}/server.log" 2>&1 &
 SERVER_PID=$!
 
@@ -62,6 +62,9 @@ grep -q "topk" "${WORK}/stats.out"
 DUPS="$(awk '/^# TYPE/{print $3}' "${WORK}/stats.prom" | sort | uniq -d)"
 [[ -z "${DUPS}" ]] || { echo "duplicate Prometheus families: ${DUPS}" >&2; exit 1; }
 grep -q "^# TYPE neutraj_serve_topk_requests counter" "${WORK}/stats.prom"
+# --trace-sample-every 1 traced every request above.
+"${CLIENT}" trace --port "${PORT}" --out "${WORK}/trace.json" | tee "${WORK}/trace.out"
+grep -q "wrote [1-9][0-9]* trace(s)" "${WORK}/trace.out"
 
 echo "== graceful drain on SIGTERM =="
 kill -TERM "${SERVER_PID}"
