@@ -54,7 +54,8 @@ struct VpState {
       }
       std::printf("# n=%-6lld mean visited %.0f of %lld (%.1f%%)\n",
                   static_cast<long long>(n),
-                  static_cast<double>(visits) / static_cast<double>(s->queries.size()),
+                  static_cast<double>(visits) /
+                      static_cast<double>(s->queries.size()),
                   static_cast<long long>(n),
                   100.0 * static_cast<double>(visits) /
                       (static_cast<double>(s->queries.size()) *

@@ -22,7 +22,8 @@ int main() {
     std::printf("\n--- %s ---\n", MeasureName(m).c_str());
     std::printf("%-8s %-10s %-10s\n", "#seeds", "NeuTraj", "NT-No-SAM");
     for (double frac : fractions) {
-      const size_t n = static_cast<size_t>(frac * static_cast<double>(ctx.split.seeds.size()));
+      const size_t n = static_cast<size_t>(
+          frac * static_cast<double>(ctx.split.seeds.size()));
       const std::vector<Trajectory> seeds(ctx.split.seeds.begin(),
                                           ctx.split.seeds.begin() +
                                               static_cast<long>(n));

@@ -40,6 +40,21 @@
 //                      floor), 1-in-64 sampling <= 2% against off; and
 //                      replies serialize to identical bytes with a sampled
 //                      trace context attached and without.
+//   9. bounded_scan    the exact TopK scan over perfbench search's corpus
+//                      (100k Porto-like trajectories, d = 32): every row
+//                      scored (a database filled by Insert, no int8 index)
+//                      against the bounded scan (the same rows through
+//                      Deserialize), for the random-init model search serves
+//                      and for a one-epoch trained one. Reports us/query on
+//                      one core, q/s from 4 concurrent callers, the rows
+//                      given their exact distance (p50/p90/max) and the
+//                      prune rate, the index build time at 1 and 4 threads,
+//                      and a VpTree over the same rows; then the bounded
+//                      scan over section 7's 1M x 8 rows against its IVF.
+//                      Gates: bounded >= 2x every-row on one core (random-
+//                      init model), and 0 replies that differ in ids or
+//                      distance bits from EmbeddingTopK, inline or with
+//                      helpers, for both models.
 //
 // Sections 3 and 4 time 300 pairs of ~10 ms slices, the two sides
 // alternating x,y,y,x, and gate the median per-pair ratio. On a shared
@@ -795,7 +810,35 @@ double MeasureQueries(JsonWriter& json, const char* key, Query query) {
   return qps;
 }
 
-void BenchRetrieval(JsonWriter& json, std::vector<Gate>& gates) {
+/// Section 7's corpus: kRetrievalCorpus clustered rows and
+/// kRetrievalQueries queries off them. Centers well separated (sigma 4) next
+/// to the in-cluster spread (sigma 0.3); queries perturbed off corpus rows.
+void RetrievalCorpus(std::vector<nn::Vector>* rows,
+                     std::vector<nn::Vector>* queries) {
+  Rng rng(kRetrievalSeed);
+  std::vector<nn::Vector> centers(kRetrievalCenters,
+                                  nn::Vector(kEmbeddingDim));
+  for (nn::Vector& c : centers) {
+    for (double& x : c) x = rng.Gaussian(0.0, kCenterSigma);
+  }
+  rows->reserve(kRetrievalCorpus);
+  for (size_t i = 0; i < kRetrievalCorpus; ++i) {
+    nn::Vector v = centers[i % centers.size()];
+    for (double& x : v) x += rng.Gaussian(0.0, kSpreadSigma);
+    rows->push_back(std::move(v));
+  }
+  queries->assign(kRetrievalQueries, nn::Vector(kEmbeddingDim));
+  for (nn::Vector& q : *queries) {
+    const nn::Vector& base = (*rows)[static_cast<size_t>(rng.UniformInt(
+        0, static_cast<int64_t>(kRetrievalCorpus) - 1))];
+    for (size_t d = 0; d < kEmbeddingDim; ++d) {
+      q[d] = base[d] + rng.Gaussian(0.0, 0.1);
+    }
+  }
+}
+
+/// Section 7; returns the IVF backend's qps.
+double BenchRetrieval(JsonWriter& json, std::vector<Gate>& gates) {
   retrieval::IvfIndex::Options ivf_opts;
   ivf_opts.nlist = 256;
   ivf_opts.train_sample = 20000;
@@ -804,30 +847,8 @@ void BenchRetrieval(JsonWriter& json, std::vector<Gate>& gates) {
   ivf_opts.default_nprobe = 16;
   ivf_opts.rerank = 128;
 
-  // Centers well separated (sigma 4) next to the in-cluster spread
-  // (sigma 0.3); queries perturbed off corpus rows.
-  Rng rng(kRetrievalSeed);
-  std::vector<nn::Vector> centers(kRetrievalCenters,
-                                  nn::Vector(kEmbeddingDim));
-  for (nn::Vector& c : centers) {
-    for (double& x : c) x = rng.Gaussian(0.0, kCenterSigma);
-  }
-  std::vector<nn::Vector> rows;
-  rows.reserve(kRetrievalCorpus);
-  for (size_t i = 0; i < kRetrievalCorpus; ++i) {
-    nn::Vector v = centers[i % centers.size()];
-    for (double& x : v) x += rng.Gaussian(0.0, kSpreadSigma);
-    rows.push_back(std::move(v));
-  }
-  std::vector<nn::Vector> queries(kRetrievalQueries,
-                                  nn::Vector(kEmbeddingDim));
-  for (nn::Vector& q : queries) {
-    const nn::Vector& base = rows[static_cast<size_t>(rng.UniformInt(
-        0, static_cast<int64_t>(kRetrievalCorpus) - 1))];
-    for (size_t d = 0; d < kEmbeddingDim; ++d) {
-      q[d] = base[d] + rng.Gaussian(0.0, 0.1);
-    }
-  }
+  std::vector<nn::Vector> rows, queries;
+  RetrievalCorpus(&rows, &queries);
 
   EmbeddingDatabase exact_db;
   for (const nn::Vector& v : rows) exact_db.Insert(v);
@@ -871,13 +892,191 @@ void BenchRetrieval(JsonWriter& json, std::vector<Gate>& gates) {
   }
   const double recall = static_cast<double>(hits) /
                         static_cast<double>(kRetrievalQueries * kRetrievalK);
-  const double speedup = MeasureQueries(json, "ivf", [&](size_t i) {
-                           ivf.TopK(queries[i], kRetrievalK, -1, 0);
-                         }) / exact_qps;
+  const double ivf_qps = MeasureQueries(json, "ivf", [&](size_t i) {
+    ivf.TopK(queries[i], kRetrievalK, -1, 0);
+  });
+  const double speedup = ivf_qps / exact_qps;
   json.Add({{"recall_at_k", recall}, {"ivf_speedup", speedup}});
   json.Close();
   gates.push_back(AtLeast("ivf_speedup", speedup, 10.0));
   gates.push_back(AtLeast("ivf_recall_at_10", recall, 0.95));
+  return ivf_qps;
+}
+
+// ---------------------------------------------------------------------------
+// Section 9: the bounded exact scan.
+
+constexpr size_t kSearchCorpus = 100000;  ///< perfbench search's corpus.
+constexpr size_t kSearchQueries = 200;    ///< Its referenced queries.
+constexpr size_t kSearchDim = 32;
+constexpr uint64_t kSearchSeed = 7;
+constexpr size_t kSearchK = 10;
+constexpr size_t kSearchCallers = 4;
+constexpr size_t kScanRepeats = 3;
+
+/// Times `query(i)` over every query on one thread: us/query, best of
+/// kScanRepeats passes.
+template <typename Query>
+double TimeOneCore(size_t queries, Query query) {
+  const Pass one = BestOf(kScanRepeats, [&] {
+    Pass pass;
+    Stopwatch sw;
+    for (size_t i = 0; i < queries; ++i) query(i);
+    pass.seconds = sw.ElapsedSeconds();
+    return pass;
+  });
+  return one.seconds / static_cast<double>(queries) * 1e6;
+}
+
+/// Times `query(i)` from kSearchCallers threads that each run every query:
+/// q/s, best of kScanRepeats passes.
+template <typename Query>
+double TimeCallers(size_t queries, Query query) {
+  const Pass many = BestOf(kScanRepeats, [&] {
+    Pass pass;
+    Stopwatch sw;
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < kSearchCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (size_t i = 0; i < queries; ++i) query((i + c) % queries);
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    pass.seconds = sw.ElapsedSeconds();
+    return pass;
+  });
+  return static_cast<double>(kSearchCallers * queries) / many.seconds;
+}
+
+/// One model's half of section 9: embeds the corpus and queries with
+/// `model`, times every-row against bounded TopK (and a VpTree, on one core:
+/// its TopK records a visit count, so it is not safe to call concurrently),
+/// counts the rows the bound lets through, and adds the replies that differ
+/// from EmbeddingTopK to `*mismatches`. Returns the bounded scan's one-core
+/// speedup.
+double BenchBoundedModel(JsonWriter& json, const char* key,
+                         const NeuTrajModel& model,
+                         const std::vector<Trajectory>& corpus,
+                         const std::vector<Trajectory>& query_trajs,
+                         size_t* mismatches) {
+  const EmbeddingDatabase built =
+      EmbeddingDatabase::Build(model, corpus, kServerThreads);
+  const std::vector<nn::Vector> queries = model.EmbedAll(query_trajs);
+  const std::vector<nn::Vector>& rows = built.embeddings();
+  EmbeddingDatabase plain;
+  for (const nn::Vector& r : rows) plain.Insert(r);
+  const std::string bytes = plain.Serialize();
+  Stopwatch sw;
+  EmbeddingDatabase::Deserialize(bytes, "bounded_scan");
+  const double load_1_ms = sw.ElapsedSeconds() * 1e3;
+  obs::MetricsRegistry registry;
+  sw.Restart();
+  EmbeddingDatabase db =
+      EmbeddingDatabase::Deserialize(bytes, "bounded_scan", kSearchCallers);
+  const double load_4_ms = sw.ElapsedSeconds() * 1e3;
+  db.AttachMetrics(&registry);
+  const obs::Counter& scored = registry.GetCounter("db/topk_scored_rows");
+  ThreadPool helpers(kServerThreads > 1 ? kServerThreads - 1 : 1);
+  std::vector<double> per_query;
+  for (const nn::Vector& q : queries) {
+    const SearchResult want = EmbeddingTopK(rows, q, kSearchK);
+    const uint64_t before = scored.Value();
+    const SearchResult inline_scan = db.TopK(q, kSearchK);
+    per_query.push_back(static_cast<double>(scored.Value() - before));
+    const SearchResult helped = db.TopK(q, kSearchK, -1, &helpers);
+    for (const SearchResult* got : {&inline_scan, &helped}) {
+      if (got->ids != want.ids || got->dists != want.dists) ++*mismatches;
+    }
+  }
+  double scored_sum = 0.0;
+  for (const double n : per_query) scored_sum += n;
+
+  const auto plain_query = [&](size_t i) { plain.TopK(queries[i], kSearchK); };
+  const auto bounded_query = [&](size_t i) { db.TopK(queries[i], kSearchK); };
+  const double plain_us = TimeOneCore(queries.size(), plain_query);
+  const double bounded_us = TimeOneCore(queries.size(), bounded_query);
+  const double plain_qps = TimeCallers(queries.size(), plain_query);
+  const double bounded_qps = TimeCallers(queries.size(), bounded_query);
+  const VpTree tree(rows);
+  const double vptree_us = TimeOneCore(
+      queries.size(), [&](size_t i) { tree.TopK(queries[i], kSearchK); });
+  size_t visits = 0;
+  for (const nn::Vector& q : queries) {
+    tree.TopK(q, kSearchK);
+    visits += tree.last_visit_count();
+  }
+  const double n = static_cast<double>(rows.size());
+  const double nq = static_cast<double>(queries.size());
+  json.Object(key, {{"plain_us_per_query", plain_us},
+                    {"bounded_us_per_query", bounded_us},
+                    {"speedup_one_core", plain_us / bounded_us},
+                    {"plain_qps_4_callers", plain_qps},
+                    {"bounded_qps_4_callers", bounded_qps},
+                    {"speedup_4_callers", bounded_qps / plain_qps},
+                    {"scored_rows_p50", Quantile(per_query, 0.5)},
+                    {"scored_rows_p90", Quantile(per_query, 0.9)},
+                    {"scored_rows_max", Quantile(per_query, 1.0)},
+                    {"prune_rate", 1.0 - scored_sum / (nq * n)},
+                    {"deserialize_ms_1_thread", load_1_ms},
+                    {"deserialize_ms_4_threads", load_4_ms},
+                    {"vptree_us_per_query", vptree_us},
+                    {"vptree_visits_mean", static_cast<double>(visits) / nq}});
+  return plain_us / bounded_us;
+}
+
+void BenchBoundedScan(JsonWriter& json, std::vector<Gate>& gates,
+                      double ivf_qps) {
+  // perfbench search's inputs: MakePorto(kSearchCorpus + held-out queries)
+  // and a random-init d = 32 model over a 100 m grid.
+  GeneratorConfig gen = PortoLikeConfig(1.0);
+  gen.num_trajectories = kSearchCorpus + kSearchQueries;
+  gen.seed = kSearchSeed;
+  gen.road.seed = kSearchSeed ^ 0x5bd1e995ull;
+  TrajectoryDataset data = GeneratePortoLike(gen);
+  const std::vector<Trajectory> queries(
+      data.trajectories.end() - kSearchQueries, data.trajectories.end());
+  data.trajectories.resize(kSearchCorpus);
+  NeuTrajConfig cfg = NeuTrajConfig::NeuTraj();
+  cfg.embedding_dim = kSearchDim;
+  NeuTrajModel random_init(cfg, Grid(data.region.Inflated(50.0), 100.0));
+  Rng rng(kSearchSeed);
+  random_init.InitializeWeights(&rng);
+  const NeuTrajModel trained =
+      OneEpochModel(MakeTrainingSetup(600, 4242, 60));
+
+  size_t mismatches = 0;
+  json.Open("bounded_scan", '{');
+  json.Add({{"corpus", kSearchCorpus},
+            {"dim", kSearchDim},
+            {"queries", kSearchQueries},
+            {"k", kSearchK},
+            {"callers", kSearchCallers},
+            {"seed", kSearchSeed}});
+  const double speedup =
+      BenchBoundedModel(json, "random_init", random_init, data.trajectories,
+                        queries, &mismatches);
+  BenchBoundedModel(json, "trained", trained, data.trajectories, queries,
+                    &mismatches);
+
+  // Section 7's 1M x 8 rows, published through Deserialize.
+  std::vector<nn::Vector> rows, retrieval_queries;
+  RetrievalCorpus(&rows, &retrieval_queries);
+  EmbeddingDatabase flat;
+  for (const nn::Vector& r : rows) flat.Insert(r);
+  std::vector<nn::Vector>().swap(rows);
+  const EmbeddingDatabase db = EmbeddingDatabase::Deserialize(
+      flat.Serialize(), "bounded_scan", kServerThreads);
+  flat = EmbeddingDatabase();
+  const double bounded_qps =
+      MeasureQueries(json, "retrieval_1m_bounded", [&](size_t i) {
+        db.TopK(retrieval_queries[i], kRetrievalK);
+      });
+  json.Add({{"mismatches", mismatches},
+            {"ivf_over_bounded_1m", ivf_qps / bounded_qps}});
+  json.Close();
+  gates.push_back(AtLeast("bounded_scan_speedup_one_core", speedup, 2.0));
+  gates.push_back(AtMost("bounded_scan_mismatches",
+                         static_cast<double>(mismatches), 0.0));
 }
 
 }  // namespace
@@ -921,8 +1120,9 @@ int main() {
 
   BenchServing(json, gates, model, &db, data.trajectories, batched);
   BenchDurableInsert(json, db);
-  BenchRetrieval(json, gates);
+  const double ivf_qps = BenchRetrieval(json, gates);
   BenchTracing(json, gates, model, &db, data.trajectories, batched);
+  BenchBoundedScan(json, gates, ivf_qps);
 
   bool all_pass = true;
   json.Open("gates", '[');

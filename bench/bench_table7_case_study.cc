@@ -36,8 +36,8 @@ void CaseStudy(const char* tag, size_t query_id,
 
   std::vector<size_t> pred5(pred.ids.begin(), pred.ids.begin() + 5);
   std::vector<size_t> gt5(gt.ids.begin(), gt.ids.begin() + 5);
-  const double d_h5 =
-      std::abs(MeanDistanceOf(pred5, exact_dists) - MeanDistanceOf(gt5, exact_dists));
+  const double d_h5 = std::abs(MeanDistanceOf(pred5, exact_dists) -
+                               MeanDistanceOf(gt5, exact_dists));
 
   std::printf("\n=== %s: query T_%zu (length %zu, span %.0fm) ===\n", tag,
               query_id, query.size(), query.Bounds().Width());

@@ -108,9 +108,9 @@ TopKQuality EvaluateAp(const ExperimentContext& ctx,
 std::string FormatAccuracyRow(const std::string& method, const TopKQuality& q,
                               bool with_distortion) {
   if (with_distortion) {
-    return StrFormat("%-10s  HR@10 %.4f  HR@50 %.4f  R10@50 %.4f  d_H10/d_R10 %4.0f/%4.0f",
-                     method.c_str(), q.hr10, q.hr50, q.r10_at_50, q.delta_h10,
-                     q.delta_r10);
+    return StrFormat(
+        "%-10s  HR@10 %.4f  HR@50 %.4f  R10@50 %.4f  d_H10/d_R10 %4.0f/%4.0f",
+        method.c_str(), q.hr10, q.hr50, q.r10_at_50, q.delta_h10, q.delta_r10);
   }
   return StrFormat("%-10s  HR@10 %.4f  HR@50 %.4f  R10@50 %.4f", method.c_str(),
                    q.hr10, q.hr50, q.r10_at_50);

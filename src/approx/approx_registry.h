@@ -70,7 +70,8 @@ class ApproxDistance {
 
   /// Factory: the paper's AP baseline for `m`, or nullptr for ERP (no
   /// approximate algorithm exists).
-  static std::unique_ptr<ApproxDistance> Create(Measure m, const ApproxParams& params);
+  static std::unique_ptr<ApproxDistance> Create(Measure m,
+                                                const ApproxParams& params);
 };
 
 }  // namespace neutraj

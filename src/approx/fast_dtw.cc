@@ -28,11 +28,13 @@ std::vector<std::pair<size_t, size_t>> ExpandWindow(const WarpPath& low_path,
   const int64_t in = static_cast<int64_t>(n);
   const int64_t im = static_cast<int64_t>(m);
   std::vector<std::pair<int64_t, int64_t>> range(
-      n, {std::numeric_limits<int64_t>::max(), std::numeric_limits<int64_t>::min()});
+      n, {std::numeric_limits<int64_t>::max(),
+          std::numeric_limits<int64_t>::min()});
   auto mark = [&](int64_t i, int64_t lo, int64_t hi) {
     if (i < 0 || i >= in) return;
-    range[static_cast<size_t>(i)].first = std::min(range[static_cast<size_t>(i)].first, lo);
-    range[static_cast<size_t>(i)].second = std::max(range[static_cast<size_t>(i)].second, hi);
+    std::pair<int64_t, int64_t>& r = range[static_cast<size_t>(i)];
+    r.first = std::min(r.first, lo);
+    r.second = std::max(r.second, hi);
   };
   for (const auto& [li, lj] : low_path) {
     // Each low-res cell (li, lj) covers rows {2li, 2li+1} and

@@ -75,7 +75,9 @@ std::string ErrnoMessage(int err) {
 
 std::string ToLower(const std::string& s) {
   std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
   return out;
 }
 

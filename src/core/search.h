@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "distance/measures.h"
@@ -47,6 +48,14 @@ class TopKHeap {
   void OfferScanned(double sq, size_t id) {
     if (heap_.size() == k_ && (k_ == 0 || sq > heap_.front().sq)) return;
     Offer({std::sqrt(sq), sq, id});
+  }
+
+  /// The distance a row must not exceed to enter: the worst entry's once
+  /// the heap holds k entries, +infinity before.
+  double Bound() const {
+    return heap_.size() < k_ || heap_.empty()
+               ? std::numeric_limits<double>::infinity()
+               : heap_.front().dist;
   }
 
   /// Folds in every entry of `other`, whose ids may interleave with ours.

@@ -448,7 +448,8 @@ TrainResult Trainer::Train(const EpochCallback& callback) {
         for (size_t lo = 0; lo < bs; lo += chunk, ++widx) {
           const size_t hi = std::min(lo + chunk, bs);
           AnchorScratch* scratch = &scratches[widx];
-          pool->Submit([&run_range, lo, hi, scratch] { run_range(lo, hi, scratch); });
+          pool->Submit(
+              [&run_range, lo, hi, scratch] { run_range(lo, hi, scratch); });
         }
         pool->Wait();  // Rethrows the first worker exception, if any.
       } else {
@@ -529,7 +530,8 @@ TrainResult Trainer::Train(const EpochCallback& callback) {
 
     EpochStats stats;
     stats.epoch = epoch;
-    stats.mean_loss = processed > 0 ? epoch_loss / static_cast<double>(processed) : 0.0;
+    stats.mean_loss =
+        processed > 0 ? epoch_loss / static_cast<double>(processed) : 0.0;
     stats.seconds = sw.ElapsedSeconds();
     stats.grad_norm =
         opt_steps > 0 ? grad_norm_sum / static_cast<double>(opt_steps) : 0.0;

@@ -13,7 +13,8 @@ std::vector<size_t> SubRoute(const std::vector<size_t>& route, double min_keep,
   if (route.size() <= 2) return route;
   const double keep = rng->Uniform(min_keep, 1.0);
   const size_t len = std::max<size_t>(
-      2, static_cast<size_t>(std::llround(keep * static_cast<double>(route.size()))));
+      2, static_cast<size_t>(
+             std::llround(keep * static_cast<double>(route.size()))));
   if (len >= route.size()) return route;
   const size_t start = static_cast<size_t>(
       rng->UniformInt(0, static_cast<int64_t>(route.size() - len)));

@@ -23,9 +23,9 @@ std::string CorpusFingerprint(const std::vector<Trajectory>& trajs);
 
 /// Computes (or loads from cache) the exact pairwise distance matrix of
 /// `trajs` under `m`.
-DistanceMatrix CachedPairwiseDistances(const std::vector<Trajectory>& trajs,
-                                       Measure m,
-                                       const std::string& cache_dir = kDefaultCacheDir);
+DistanceMatrix CachedPairwiseDistances(
+    const std::vector<Trajectory>& trajs, Measure m,
+    const std::string& cache_dir = kDefaultCacheDir);
 
 /// A trained model plus its training telemetry.
 struct TrainedModel {

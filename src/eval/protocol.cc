@@ -18,8 +18,9 @@ DatasetSplit SplitDataset(const TrajectoryDataset& dataset, double seed_fraction
   std::iota(order.begin(), order.end(), size_t{0});
   Rng rng(rng_seed);
   rng.Shuffle(&order);
-  const size_t n_seed = static_cast<size_t>(seed_fraction * static_cast<double>(dataset.size()));
-  const size_t n_val = static_cast<size_t>(val_fraction * static_cast<double>(dataset.size()));
+  const double total = static_cast<double>(dataset.size());
+  const size_t n_seed = static_cast<size_t>(seed_fraction * total);
+  const size_t n_val = static_cast<size_t>(val_fraction * total);
   DatasetSplit split;
   for (size_t i = 0; i < order.size(); ++i) {
     const Trajectory& t = dataset.trajectories[order[i]];

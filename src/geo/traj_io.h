@@ -21,7 +21,8 @@ std::string SerializeTrajectories(const std::vector<Trajectory>& trajs);
 std::vector<Trajectory> ParseTrajectories(const std::string& text);
 
 /// Convenience wrappers reading/writing a file.
-void SaveTrajectories(const std::string& path, const std::vector<Trajectory>& trajs);
+void SaveTrajectories(const std::string& path,
+                      const std::vector<Trajectory>& trajs);
 std::vector<Trajectory> LoadTrajectories(const std::string& path);
 
 }  // namespace neutraj

@@ -90,7 +90,8 @@ void Adam::DeserializeState(const std::string& text) {
     }
     for (double& x : v[i].values()) {
       if (!(in >> x)) {
-        throw std::runtime_error("Adam::DeserializeState: truncated second moments");
+        throw std::runtime_error(
+            "Adam::DeserializeState: truncated second moments");
       }
     }
   }

@@ -23,7 +23,8 @@ using Vector = std::vector<double>;
 class Matrix {
  public:
   Matrix() = default;
-  Matrix(size_t rows, size_t cols) : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+  Matrix(size_t rows, size_t cols)
+      : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }

@@ -93,7 +93,8 @@ void DeserializeParams(const std::string& text,
     std::string name;
     size_t rows = 0, cols = 0;
     if (!(in >> name >> rows >> cols)) {
-      throw std::runtime_error("DeserializeParams: truncated header for " + p->name);
+      throw std::runtime_error("DeserializeParams: truncated header for " +
+                               p->name);
     }
     if (name != p->name || rows != p->value.rows() || cols != p->value.cols()) {
       throw std::runtime_error("DeserializeParams: mismatch, expected " + p->name +
@@ -101,7 +102,8 @@ void DeserializeParams(const std::string& text,
     }
     for (double& v : p->value.values()) {
       if (!(in >> v)) {
-        throw std::runtime_error("DeserializeParams: truncated values for " + p->name);
+        throw std::runtime_error("DeserializeParams: truncated values for " +
+                                 p->name);
       }
     }
     NEUTRAJ_DCHECK_FINITE(p->value.values());

@@ -25,6 +25,22 @@
 // which honors per-dimension scales while keeping the inner loop integer —
 // see kernels.h. Deterministic everywhere: same corpus → same scales →
 // same codes → same candidate ranking, on every machine and kernel.
+//
+// The exact TopK scan (core/embedding_db.h) uses the codes as a lower
+// bound instead of an estimate. With the floor weights
+//
+//   w′_d = ⌊128 · (s_d / s_max)²⌋                        (may be 0)
+//
+// c · Σ w′_d (a_d - b_d)² never exceeds ‖decode(a) − decode(b)‖², and with
+// each vector's reconstruction error e_x = ‖x − decode(code(x))‖, the
+// triangle inequality gives
+//
+//   ‖q − x‖ ≥ sqrt(c · Σ w′_d (q̂_d − x̂_d)²) − e_q − e_x,   c = s_max² / 128.
+//
+// The weights stop at 128 so that w′_d · (a_d − b_d) fits int16, which the
+// bound's kernel (kernels.h BlockCodeSquaredL2) multiplies in.
+//
+// A clamped input has a large e_x, so its bound stays loose and correct.
 
 #ifndef NEUTRAJ_RETRIEVAL_QUANTIZED_H_
 #define NEUTRAJ_RETRIEVAL_QUANTIZED_H_
@@ -47,6 +63,11 @@ class Int8Quantizer {
   /// std::invalid_argument on an empty sample or ragged rows.
   static Int8Quantizer Train(const std::vector<nn::Vector>& sample);
 
+  /// Fixes scales from per-dimension max magnitudes, each finite and >= 0
+  /// (what Train computes from its sample). Throws std::invalid_argument
+  /// when `max_abs` is empty.
+  static Int8Quantizer FromMaxAbs(const std::vector<double>& max_abs);
+
   bool trained() const { return !scales_.empty(); }
   size_t dim() const { return scales_.size(); }
 
@@ -56,6 +77,18 @@ class Int8Quantizer {
   /// Appends the code of `v` to `out` (bulk storage without per-row
   /// allocations; `out` grows by dim()).
   void EncodeAppend(const nn::Vector& v, std::vector<int8_t>* out) const;
+
+  /// The lower-bound form of Encode for finite `v` (dim() values): writes
+  /// its dim() codes, equal to Encode's, to `code` and returns the
+  /// reconstruction error ‖v − Decode(code)‖, rounded up.
+  double EncodeWithError(const double* v, int8_t* code) const;
+
+  /// Bulk EncodeWithError into kernels.h's block layout: row i of `rows`,
+  /// for i in [begin, end), goes to block i / 8 of `blocks` at
+  /// BlockCodeOffset(i % 8, d), and its error to errors[i]. Rows must be
+  /// finite and of width dim().
+  void EncodeBlocks(const std::vector<nn::Vector>& rows, size_t begin,
+                    size_t end, int8_t* blocks, double* errors) const;
 
   /// Reconstruction: decode(code)_d = s_d * code_d.
   nn::Vector Decode(const int8_t* code) const;
@@ -75,6 +108,11 @@ class Int8Quantizer {
 
   const std::vector<double>& scales() const { return scales_; }
 
+  /// The lower bound's weights w′_d = ⌊128 · (s_d / s_max)²⌋, in [0, 128].
+  const std::vector<int32_t>& bound_weights() const { return bound_weights_; }
+  /// c = s_max² / 128: c · Σ w′_d (a_d - b_d)² ≤ ‖decode(a) − decode(b)‖².
+  double bound_scale() const { return bound_scale_; }
+
   /// Worst-case per-vector reconstruction error bound in squared-L2 terms
   /// for in-range inputs: Σ_d (s_d / 2)².
   double SquaredErrorBound() const;
@@ -82,6 +120,8 @@ class Int8Quantizer {
  private:
   std::vector<double> scales_;    ///< s_d.
   std::vector<int32_t> weights_;  ///< w_d in [1, 256].
+  std::vector<int32_t> bound_weights_;  ///< w′_d in [0, 128].
+  double bound_scale_ = 0.0;            ///< s_max² / 128.
   double proxy_to_l2_ = 0.0;      ///< s_max² / 256.
 };
 

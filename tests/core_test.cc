@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -14,6 +16,7 @@
 #include "core/sampler.h"
 #include "core/search.h"
 #include "core/similarity.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "test_util.h"
 
@@ -380,6 +383,172 @@ TEST(EmbeddingDatabaseTest, ChunkedTopKIsBitIdenticalToTheSortOracle) {
       }
     }
   }
+}
+
+/// The database Deserialize publishes for `rows`: the same rows with the
+/// int8 index built, so TopK runs the bounded scan.
+EmbeddingDatabase Indexed(const std::vector<nn::Vector>& rows) {
+  EmbeddingDatabase flat;
+  for (const nn::Vector& r : rows) flat.Insert(r);
+  return EmbeddingDatabase::Deserialize(flat.Serialize(), "test", 2);
+}
+
+void ExpectSame(const SearchResult& got, const SearchResult& want) {
+  ASSERT_EQ(got.ids, want.ids);
+  ASSERT_EQ(got.dists, want.dists);  // Distances compared bit for bit.
+}
+
+TEST(BoundedTopKTest, MatchesTheSortOracleOnEveryShape) {
+  // Gaussian rows with one near-constant dimension (its scale, and so its
+  // bound weight, is ~0), a run of twelve duplicates so that k = 10 ties
+  // at the k-th place, and row counts that are not a multiple of 8. The
+  // larger dims span several scan chunks, so helpers share the shared τ.
+  ThreadPool three(3);
+  for (const size_t dim : {1ul, 3ul, 8ul, 32ul, 64ul, 131ul}) {
+    const size_t chunk = EmbeddingDatabase::ScanChunkRows(dim);
+    const size_t n = dim >= 32 ? 2 * chunk + 5 : 1003;
+    Rng rng(1000 + dim);
+    std::vector<nn::Vector> rows(n, nn::Vector(dim));
+    for (nn::Vector& r : rows) {
+      for (double& x : r) x = rng.Gaussian(0.0, 1.0);
+      r[0] = 0.5 + 1e-9 * rng.Gaussian(0.0, 1.0);
+    }
+    const size_t dup = n / 2;
+    for (size_t i = dup + 1; i < dup + 12; ++i) rows[i] = rows[dup];
+    EmbeddingDatabase db = Indexed(rows);
+
+    // Inserts after the build: two clamped far outside the trained range,
+    // one of them next to a query, and one more duplicate.
+    nn::Vector far(dim, 40.0), near_far(dim, 0.0);
+    near_far[0] = 60.0;
+    for (const nn::Vector& r : {far, near_far, rows[dup]}) {
+      rows.push_back(r);
+      db.Insert(r);
+    }
+    nn::Vector generic(dim);
+    for (double& x : generic) x = rng.Gaussian(0.0, 1.0);
+    nn::Vector beside_dup = rows[dup];
+    beside_dup[dim - 1] += 0.25;
+    nn::Vector out_of_range(dim, 0.0);
+    out_of_range[0] = 59.0;
+    const std::vector<nn::Vector> queries = {generic, rows[dup], beside_dup,
+                                             out_of_range, rows[7]};
+
+    const int64_t inside = static_cast<int64_t>(dup + 3);
+    const int64_t outside = static_cast<int64_t>(rows.size() + 100);
+    for (const size_t k : {size_t{1}, size_t{10}, rows.size() + 5}) {
+      for (const int64_t exclude : {int64_t{-1}, inside, outside}) {
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          SCOPED_TRACE(::testing::Message() << "dim " << dim << " k " << k
+                                          << " exclude " << exclude
+                                          << " query " << qi);
+          const SearchResult want =
+              OracleTopK(rows, queries[qi], k, exclude);
+          ExpectSame(db.TopK(queries[qi], k, exclude), want);
+          ExpectSame(db.TopK(queries[qi], k, exclude, &three, 1), want);
+          ExpectSame(db.TopK(queries[qi], k, exclude, &three), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(BoundedTopKTest, CodesAcrossARoundingBoundaryStillMatch) {
+  // Scales of exactly 1 (a row of 127s). The query sits just below a half
+  // in every dimension and row 16 just above it, so their codes differ by
+  // one everywhere: a decoded distance of sqrt(dim) for a true one of
+  // 2e-6 · sqrt(dim). Only subtracting both reconstruction errors keeps
+  // row 16 from being cut by the k-th distance that rows 0 and 1 set.
+  constexpr size_t kDim = 16;
+  nn::Vector query(kDim), beside(kDim);
+  for (size_t d = 0; d < kDim; ++d) {
+    const double half = static_cast<double>(d % 5) + 0.5;
+    query[d] = half - 1e-6;
+    beside[d] = half + 1e-6;
+  }
+  std::vector<nn::Vector> rows(24, nn::Vector(kDim, -100.0));
+  rows[0] = query;
+  rows[0][0] += 0.3;
+  rows[1] = query;
+  rows[1][1] -= 0.35;
+  rows[16] = beside;
+  rows[23] = nn::Vector(kDim, 127.0);
+  const EmbeddingDatabase db = Indexed(rows);
+  for (const size_t k : {size_t{2}, size_t{3}}) {
+    ExpectSame(db.TopK(query, k), OracleTopK(rows, query, k, -1));
+  }
+}
+
+TEST(BoundedTopKTest, InsertOnlyDatabaseScansExactlyUntilRebuilt) {
+  // Filled by Insert from empty, the database has no quantizer: every row
+  // gets its exact distance. Deserialize trains one and the pass prunes.
+  constexpr size_t kDim = 16, kRows = 3000;
+  Rng rng(77);
+  std::vector<nn::Vector> rows(kRows, nn::Vector(kDim));
+  for (nn::Vector& r : rows) {
+    for (double& x : r) x = rng.Gaussian(0.0, 1.0);
+  }
+  obs::MetricsRegistry registry;
+  EmbeddingDatabase flat;
+  for (const nn::Vector& r : rows) flat.Insert(r);
+  flat.AttachMetrics(&registry);
+  const obs::Counter& scored = registry.GetCounter("db/topk_scored_rows");
+  const SearchResult want = OracleTopK(rows, rows[5], 10, -1);
+  ExpectSame(flat.TopK(rows[5], 10), want);
+  EXPECT_EQ(scored.Value(), kRows);
+
+  EmbeddingDatabase indexed = Indexed(rows);
+  indexed.AttachMetrics(&registry);
+  ExpectSame(indexed.TopK(rows[5], 10), want);
+  EXPECT_LT(scored.Value() - kRows, kRows / 2);
+}
+
+TEST(BoundedTopKTest, SearchSizedCorpusMatchesTheScanOnTwoSeeds) {
+  // 100k x 32 rows, the size and width of the search workload's corpus,
+  // drawn as a Gaussian mixture; 200 queries off corpus rows per seed.
+  constexpr size_t kDim = 32, kRows = 100000, kQueries = 200;
+  for (const uint64_t seed : {7ul, 11ul}) {
+    Rng rng(seed);
+    std::vector<nn::Vector> centers(64, nn::Vector(kDim));
+    for (nn::Vector& c : centers) {
+      for (double& x : c) x = rng.Gaussian(0.0, 1.0);
+    }
+    std::vector<nn::Vector> rows(kRows, nn::Vector(kDim));
+    for (size_t i = 0; i < kRows; ++i) {
+      for (size_t d = 0; d < kDim; ++d) {
+        rows[i][d] = centers[i % centers.size()][d] + rng.Gaussian(0.0, 0.4);
+      }
+    }
+    const EmbeddingDatabase db = Indexed(rows);
+    ThreadPool helpers(3);
+    size_t mismatches = 0;
+    for (size_t q = 0; q < kQueries; ++q) {
+      nn::Vector query = rows[(q * 7919) % kRows];
+      for (double& x : query) x += rng.Gaussian(0.0, 0.2);
+      const SearchResult want = EmbeddingTopK(rows, query, 10);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &helpers}) {
+        const SearchResult got = db.TopK(query, 10, -1, pool);
+        if (got.ids != want.ids || got.dists != want.dists) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(BoundedTopKTest, NonFiniteRowsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<nn::Vector> rows = {{1.0, 2.0}, {3.0, 4.0}};
+  EmbeddingDatabase flat;  // No quantizer.
+  EmbeddingDatabase indexed = Indexed(rows);
+  for (EmbeddingDatabase* db : {&flat, &indexed}) {
+    EXPECT_THROW(db->Insert(nn::Vector{nan, 0.0}), std::invalid_argument);
+    EXPECT_THROW(db->Insert(nn::Vector{0.0, -inf}), std::invalid_argument);
+  }
+  EXPECT_EQ(flat.size(), 0u);
+  EXPECT_EQ(indexed.size(), 2u);
+  ExpectSame(indexed.TopK(nn::Vector{1.0, 2.0}, 5),
+             OracleTopK(rows, nn::Vector{1.0, 2.0}, 5, -1));
 }
 
 TEST(EmbeddingSimilarityTest, RangeAndMonotonicity) {

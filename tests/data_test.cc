@@ -107,7 +107,8 @@ TEST(RoadNetworkTest, RouteToTrajectoryInterpolatesAtRequestedSpacing) {
     route_len += EuclideanDistance(net.NodePosition(route[i - 1]),
                                    net.NodePosition(route[i]));
   }
-  EXPECT_NEAR(static_cast<double>(t.size()), route_len / 50.0, static_cast<double>(route.size()) + 2.0);
+  EXPECT_NEAR(static_cast<double>(t.size()), route_len / 50.0,
+              static_cast<double>(route.size()) + 2.0);
   EXPECT_THROW(net.RouteToTrajectory(route, 0.0, 0.0, &rng),
                std::invalid_argument);
 }

@@ -23,7 +23,8 @@ std::vector<BoundingBox> RandomBoxes(size_t n, double extent, Rng* rng) {
     const double x = rng->Uniform(0, extent);
     const double y = rng->Uniform(0, extent);
     b.Extend(Point(x, y));
-    b.Extend(Point(x + rng->Uniform(1, extent / 10), y + rng->Uniform(1, extent / 10)));
+    b.Extend(Point(x + rng->Uniform(1, extent / 10),
+                   y + rng->Uniform(1, extent / 10)));
     boxes.push_back(b);
   }
   return boxes;
@@ -159,7 +160,8 @@ TEST(InvertedGridTest, ExpansionWidensCandidates) {
   const auto wide = index.Query(corpus[0], 3);
   EXPECT_GE(wide.size(), narrow.size());
   // narrow subset of wide.
-  EXPECT_TRUE(std::includes(wide.begin(), wide.end(), narrow.begin(), narrow.end()));
+  EXPECT_TRUE(
+      std::includes(wide.begin(), wide.end(), narrow.begin(), narrow.end()));
 }
 
 std::vector<nn::Vector> RandomEmbeddings(size_t n, size_t d, Rng* rng) {

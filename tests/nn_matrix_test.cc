@@ -148,7 +148,8 @@ TEST(SoftmaxTest, StableUnderLargeInputs) {
 // accumulators) must agree with the textbook triple loop on every shape,
 // including the 1..3-row remainders the blocked path peels off, and must be
 // deterministic run to run.
-class BlockedKernelTest : public ::testing::TestWithParam<std::pair<size_t, size_t>> {
+class BlockedKernelTest
+    : public ::testing::TestWithParam<std::pair<size_t, size_t>> {
  protected:
   // Deterministic pseudo-random fill, no RNG dependency.
   static double Value(size_t i) {

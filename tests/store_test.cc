@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_codec.h"
 #include "common/errors.h"
 #include "common/file_util.h"
 #include "common/framing.h"
@@ -262,6 +263,23 @@ TEST_F(StoreTest, RejectedInsertLogsNothingAndLaterAcksRecover) {
   EXPECT_EQ(info.replayed, 2u);
   ASSERT_EQ(recovered.size(), 2u);
   EXPECT_EQ(recovered.embeddings()[1], MakeEmbedding(8, 3));
+}
+
+// The corpus refuses non-finite rows, so the store refuses them before the
+// WAL: a logged record the corpus rejects would stop every later replay.
+TEST_F(StoreTest, NonFiniteInsertLogsNothing) {
+  EmbeddingDatabase db;
+  DurableStore store(&db, {.data_dir = dir_});
+  store.Open();
+  EXPECT_EQ(store.Insert(MakeEmbedding(4, 1)), 0u);
+  const std::string wal_before = ReadFile(store.wal_path());
+  nn::Vector bad = MakeEmbedding(4, 2);
+  bad[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(store.Insert(bad), std::invalid_argument);
+  bad[1] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(store.Insert(bad), std::invalid_argument);
+  EXPECT_EQ(ReadFile(store.wal_path()), wal_before);
+  EXPECT_EQ(store.Insert(MakeEmbedding(4, 3)), 1u);
 }
 
 TEST_F(StoreTest, TracedInsertRecordsWaitWalAndCompactSpans) {
@@ -588,6 +606,33 @@ TEST_F(StoreTest, BinarySnapshotOneRowShortIsCorrupt) {
     FAIL() << "expected CorruptionError";
   } catch (const CorruptionError& e) {
     EXPECT_EQ(e.section(), "embeddings");
+  }
+}
+
+// A NaN or infinity in a CRC-valid binary snapshot is corrupt data, caught in
+// every build by the pass that builds the int8 index.
+TEST_F(StoreTest, DeserializeRejectsNonFiniteValues) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EmbeddingDatabase db;
+    for (uint64_t i = 0; i < 3; ++i) db.Insert(MakeEmbedding(4, i));
+    const SectionReader full(db.Serialize(), "embdb", "test");
+    std::string payload = full.Get("embeddings");
+    const size_t row = 2;
+    ByteWriter value;
+    value.F64(bad);
+    payload.replace((row * 4 + 1) * sizeof(double), sizeof(double),
+                    value.Take());
+    SectionWriter w("embdb");
+    w.Add("shape", full.Get("shape"));
+    w.Add("embeddings", payload);
+    try {
+      EmbeddingDatabase::Deserialize(w.Finish(), "test");
+      FAIL() << "expected CorruptionError";
+    } catch (const CorruptionError& e) {
+      EXPECT_EQ(e.section(), "embeddings");
+      EXPECT_EQ(e.offset(), row * 4 * sizeof(double));
+    }
   }
 }
 

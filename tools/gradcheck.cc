@@ -18,7 +18,9 @@
 int main(int argc, char** argv) {
   neutraj::eval::GradAuditOptions opts;
   double tolerance = 1e-4;
-  if (argc > 1) opts.max_checks = static_cast<size_t>(std::strtoul(argv[1], nullptr, 10));
+  if (argc > 1) {
+    opts.max_checks = static_cast<size_t>(std::strtoul(argv[1], nullptr, 10));
+  }
   if (argc > 2) tolerance = std::strtod(argv[2], nullptr);
   if (opts.max_checks == 0 || !(tolerance > 0.0)) {
     std::fprintf(stderr, "usage: %s [max_checks_per_block] [tolerance]\n",

@@ -55,6 +55,10 @@
 #  10. Every BENCH_*.json at the repository root parses as JSON
 #      (python3 -m json.tool): a bench that prints nan or inf, which JSON
 #      has no literal for, leaves a file no consumer can read.
+#  11. No line of a .cc/.h under src/, tests/, tools/ or bench/ is longer
+#      than 84 characters (.clang-format's ColumnLimit), counted as UTF-8
+#      characters with python3, so hosts without clang-format catch the
+#      lines tools/format_check.sh would reject.
 #
 # Usage: tools/lint.sh   (from anywhere; exits non-zero on any violation)
 
@@ -186,6 +190,23 @@ for f in BENCH_*.json; do
 done
 if [[ -n "$hits" ]]; then
   report "BENCH_*.json that is not valid JSON" "$hits"
+fi
+
+# -- Rule 11: the format job's column limit ------------------------------------
+hits=$(python3 - <<'PY'
+import pathlib
+for root in ("src", "tests", "tools", "bench"):
+    for path in sorted(pathlib.Path(root).rglob("*")):
+        if path.suffix not in (".cc", ".h"):
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            if len(line) > 84:
+                print(f"{path}:{number}: {len(line)} characters")
+PY
+)
+if [[ -n "$hits" ]]; then
+  report "lines over .clang-format's 84-column limit" "$hits"
 fi
 
 if [[ "$fail" -ne 0 ]]; then

@@ -24,10 +24,12 @@
 // stage: N encode workers in the micro-batcher, and with --retrieval exact
 // an exact TopK scan split across the calling thread plus up to N-1
 // helpers (shared among the scans in flight, so callers plus helpers never
-// outnumber N and a busy server scans each query on its own thread). --port 0 (default) picks an ephemeral
+// outnumber N and a busy server scans each query on its own thread). It
+// also sizes the corpus load: --data embeds and --db builds the exact
+// scan's int8 index over N workers. --port 0 (default) picks an ephemeral
 // port; --port-file writes the bound port for scripts (see
-// tools/serve_smoke_test.sh). --save-db persists the
-// final corpus embeddings (including live inserts) on shutdown.
+// tools/serve_smoke_test.sh). --save-db persists the final corpus
+// embeddings (including live inserts) on shutdown.
 //
 // --retrieval ivf answers TopK through an IVF ANN index (src/retrieval/):
 // built deterministically over the corpus after load/recovery (so a
@@ -92,7 +94,7 @@ int Run(const Args& args) {
 
   EmbeddingDatabase db;
   if (args.Has("db")) {
-    db = EmbeddingDatabase::Load(args.Get("db"));
+    db = EmbeddingDatabase::Load(args.Get("db"), threads);
     std::printf("loaded %zu embeddings (d=%zu) from %s\n", db.size(), db.dim(),
                 args.Get("db").c_str());
   } else if (args.Has("data")) {
