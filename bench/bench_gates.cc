@@ -30,9 +30,10 @@
 //                      and fsync before the ack), encode excluded. Timing
 //                      only.
 //   7. retrieval       a seeded, clustered 1M x 8 corpus queried through the
-//                      exact scan and through IVF over int8 codes with an
-//                      exact re-rank. Gates: IVF >= 10x the exact scan's qps,
-//                      at recall@10 >= 0.95.
+//                      exact scan (every row scored) and through IVF: a
+//                      centroid probe, then the exact scan's int8 bound over
+//                      the probed lists. Gates: IVF >= 10x the exact scan's
+//                      qps, at recall@10 >= 0.95.
 //   8. tracing         two batched servers share the host and swap tracing
 //                      options every 50 ms (see AlternatingRatio). Gates,
 //                      each the median of 9 five-second runs: tracing off
@@ -845,7 +846,6 @@ double BenchRetrieval(JsonWriter& json, std::vector<Gate>& gates) {
   ivf_opts.kmeans_iters = 6;
   ivf_opts.seed = 42;
   ivf_opts.default_nprobe = 16;
-  ivf_opts.rerank = 128;
 
   std::vector<nn::Vector> rows, queries;
   RetrievalCorpus(&rows, &queries);
@@ -867,7 +867,6 @@ double BenchRetrieval(JsonWriter& json, std::vector<Gate>& gates) {
             {"k", kRetrievalK},
             {"nlist", ivf_opts.nlist},
             {"nprobe", ivf_opts.default_nprobe},
-            {"rerank", ivf_opts.rerank},
             {"seed", ivf_opts.seed}});
 
   retrieval::ExactBackend exact(&exact_db);

@@ -39,8 +39,8 @@
 //     51  obs::JsonlSink mu_                  lock_rank::kObsSink
 //     60  ThreadPool mu_                      lock_rank::kThreadPool
 //
-// kRetrieval sits below kDb because the IVF probe may still hold its lock
-// when the exact re-rank enters the EmbeddingDatabase reader lock.
+// kRetrieval sits below kDb because IvfIndex::TopK holds its reader lock
+// while the list scan enters the EmbeddingDatabase reader lock.
 //
 // (obs::FlightRecorder's mutex is deliberately *unranked*: it is a leaf
 // acquired from the NEUTRAJ_ASSERT failure hook while the process is dying,

@@ -64,84 +64,85 @@ bool FoldMaxAbs(const nn::Vector& row, std::vector<double>* max_abs) {
   return finite;
 }
 
-/// The int8 index as one TopK reads it: null pointers when there is none.
-struct CodeView {
-  const retrieval::Int8Quantizer* quantizer = nullptr;
-  const int8_t* blocks = nullptr;
-  const double* errors = nullptr;
-  const double* block_errors = nullptr;
-};
+/// The quantizer of `count` rows with per-dimension max magnitudes
+/// `max_abs`; untrained, so no index, for no rows.
+retrieval::Int8Quantizer TrainQuantizer(size_t count,
+                                        const std::vector<double>& max_abs) {
+  return count == 0 ? retrieval::Int8Quantizer()
+                    : retrieval::Int8Quantizer::FromMaxAbs(max_abs);
+}
 
-/// One query's scan of a row range into a heap: bounded by the int8 index
-/// (see embedding_db.h), or ScanTopK over every row when the database has
-/// no index or the query is not finite. Run may be called from several
-/// threads on disjoint ranges, each with its own heap; they share τ.
+/// One query's scan into heaps: bounded by an int8 index (see
+/// embedding_db.h), or exact over every row when there is no quantizer or
+/// the query is not finite. Each Run may be called from several threads on
+/// disjoint rows, each with its own heap; they share τ.
 class BoundedScan {
  public:
+  /// `quantizer` (nullable) encoded the codes every Run reads.
   BoundedScan(const std::vector<nn::Vector>& rows, const nn::Vector& query,
-              int64_t exclude, const CodeView& codes)
-      : rows_(rows), query_(query), exclude_(exclude), codes_(codes) {
-    if (codes.quantizer != nullptr && check_internal::AllFinite(query)) {
+              int64_t exclude, const retrieval::Int8Quantizer* quantizer)
+      : rows_(rows),
+        query_(query),
+        exclude_(exclude),
+        skip_(exclude >= 0 ? static_cast<size_t>(exclude)
+                           : std::numeric_limits<size_t>::max()) {
+    if (quantizer != nullptr && quantizer->trained() &&
+        check_internal::AllFinite(query)) {
       std::vector<int8_t> code(query.size());
-      query_error_ = codes.quantizer->EncodeWithError(query.data(), code.data());
+      query_error_ = quantizer->EncodeWithError(query.data(), code.data());
       q_pairs_ = retrieval::PackDimensionPairs(code.data(), code.size());
       w_pairs_ = retrieval::PackDimensionPairs(
-          codes.quantizer->bound_weights().data(), code.size());
-      slack_over_c_ = kSlack / codes.quantizer->bound_scale();
-    } else {
-      codes_ = CodeView{};
+          quantizer->bound_weights().data(), code.size());
+      c_ = quantizer->bound_scale();
+      slack_over_c_ = kSlack / c_;
     }
   }
 
-  /// Scans rows [begin, end) into `heap`; `begin` is a multiple of 8.
-  void Run(size_t begin, size_t end, TopKHeap* heap) {
-    if (codes_.quantizer == nullptr) {
+  /// Scans rows [begin, end) of the database, whose codes are `codes`, into
+  /// `heap`; `begin` is a multiple of 8. Ids ascend, so a row can drop out
+  /// on its squared distance before its sqrt.
+  void Run(const retrieval::CodeBlocks& codes, size_t begin, size_t end,
+           TopKHeap* heap) {
+    if (q_pairs_.empty()) {
       ScanTopK(rows_, query_, begin, end, exclude_, heap);
       scored_.fetch_add(end - begin, std::memory_order_relaxed);
       return;
     }
     const size_t dim = query_.size();
-    const size_t block_bytes = retrieval::BlockBytes(dim);
-    const double c = codes_.quantizer->bound_scale();
-    const size_t skip = exclude_ >= 0 ? static_cast<size_t>(exclude_)
-                                      : std::numeric_limits<size_t>::max();
+    const size_t skip = skip_;
     heap->Reserve(end - begin);
-    int64_t sums[kBlockRows];
     size_t scored = 0;
-    double published = std::numeric_limits<double>::infinity();
-    for (size_t first = begin; first < end; first += kBlockRows) {
-      const size_t b = first / kBlockRows;
-      // ‖q − x‖ ≥ sqrt(c · D′) − e_q − e_x, so a row can only enter when
-      // c · D′ ≤ (τ + e_q + e_x)²: `reach` is τ + e_q.
-      const double reach =
-          std::min(heap->Bound(), tau_.load(std::memory_order_relaxed)) +
-          query_error_;
-      if (!retrieval::BlockCodeSquaredL2(
-              codes_.blocks + b * block_bytes, q_pairs_.data(),
-              w_pairs_.data(), q_pairs_.size(),
-              Limit(reach + codes_.block_errors[b]), sums)) {
-        continue;
+    ForAdmitted(codes, begin, end, *heap, [&](size_t i) {
+      if (i == skip) return;
+      heap->OfferScanned(
+          retrieval::ExactSquaredL2(rows_[i].data(), query_.data(), dim), i);
+      ++scored;
+    });
+    scored_.fetch_add(scored, std::memory_order_relaxed);
+  }
+
+  /// Scans the rows of one IVF list into `heap`. Its ids may come in any
+  /// order, so every admitted row takes its sqrt and competes by
+  /// (distance, id).
+  void Run(const retrieval::CodeList& list, TopKHeap* heap) {
+    const size_t dim = query_.size();
+    size_t scored = 0;
+    const auto admit = [&](size_t i) {
+      const size_t id = list.ids[i];
+      if (id == skip_) return;
+      if (id >= rows_.size()) {
+        throw std::out_of_range("EmbeddingDatabase::TopKOfLists: id " +
+                                std::to_string(id) + " >= corpus size " +
+                                std::to_string(rows_.size()));
       }
-      const size_t last = std::min(first + kBlockRows, end);
-      for (size_t i = first; i < last; ++i) {
-        const double r = reach + codes_.errors[i];
-        if (i == skip ||
-            c * static_cast<double>(sums[i - first]) > r * r * kSlack) {
-          continue;
-        }
-        heap->OfferScanned(retrieval::ExactSquaredL2(rows_[i].data(),
-                                                     query_.data(), dim),
-                           i);
-        ++scored;
-      }
-      if (heap->Bound() < published) {
-        published = heap->Bound();
-        double tau = tau_.load(std::memory_order_relaxed);
-        while (published < tau &&
-               !tau_.compare_exchange_weak(tau, published,
-                                           std::memory_order_relaxed)) {
-        }
-      }
+      heap->OfferAnyOrder(
+          retrieval::ExactSquaredL2(rows_[id].data(), query_.data(), dim), id);
+      ++scored;
+    };
+    if (q_pairs_.empty()) {
+      for (size_t i = 0; i < list.ids.size(); ++i) admit(i);
+    } else {
+      ForAdmitted(list.codes, 0, list.ids.size(), *heap, admit);
     }
     scored_.fetch_add(scored, std::memory_order_relaxed);
   }
@@ -150,6 +151,47 @@ class BoundedScan {
   size_t scored() const { return scored_.load(std::memory_order_relaxed); }
 
  private:
+  /// Calls admit(i) for each row i in [begin, end) of `codes` whose bound
+  /// does not exceed τ, the smaller of `heap`'s bound and what any Run has
+  /// published; `begin` is a multiple of 8. Publishes `heap`'s bound after
+  /// each block.
+  template <typename Admit>
+  void ForAdmitted(const retrieval::CodeBlocks& codes, size_t begin,
+                   size_t end, const TopKHeap& heap, Admit&& admit) {
+    const double c = c_;
+    int64_t sums[kBlockRows];
+    double published = std::numeric_limits<double>::infinity();
+    for (size_t first = begin; first < end; first += kBlockRows) {
+      const size_t b = first / kBlockRows;
+      // ‖q − x‖ ≥ sqrt(c · D′) − e_q − e_x, so a row can only enter when
+      // c · D′ ≤ (τ + e_q + e_x)²: `reach` is τ + e_q.
+      const double reach =
+          std::min(heap.Bound(), tau_.load(std::memory_order_relaxed)) +
+          query_error_;
+      if (!retrieval::BlockCodeSquaredL2(codes.block(b), q_pairs_.data(),
+                                         w_pairs_.data(), q_pairs_.size(),
+                                         Limit(reach + codes.block_error(b)),
+                                         sums)) {
+        continue;
+      }
+      const size_t last = std::min(first + kBlockRows, end);
+      for (size_t i = first; i < last; ++i) {
+        const double r = reach + codes.error(i);
+        if (c * static_cast<double>(sums[i - first]) <= r * r * kSlack) {
+          admit(i);
+        }
+      }
+      if (heap.Bound() < published) {
+        published = heap.Bound();
+        double tau = tau_.load(std::memory_order_relaxed);
+        while (published < tau &&
+               !tau_.compare_exchange_weak(tau, published,
+                                           std::memory_order_relaxed)) {
+        }
+      }
+    }
+  }
+
   /// The largest integer sum D′ with c · D′ ≤ reach² · kSlack: a block
   /// whose rows' sums all exceed it is out. Saturates, so an infinite reach
   /// prunes nothing.
@@ -162,10 +204,11 @@ class BoundedScan {
   const std::vector<nn::Vector>& rows_;
   const nn::Vector& query_;
   int64_t exclude_;
-  CodeView codes_;
-  std::vector<int32_t> q_pairs_;  ///< The query's code, packed in pairs.
+  size_t skip_;                   ///< exclude_ as an id; SIZE_MAX for none.
+  std::vector<int32_t> q_pairs_;  ///< The query's code; empty: no bound.
   std::vector<int32_t> w_pairs_;  ///< The bound's weights, packed in pairs.
   double query_error_ = 0.0;      ///< e_q, rounded up.
+  double c_ = 0.0;                ///< The bound's scale c.
   double slack_over_c_ = 0.0;     ///< kSlack / c.
   /// The smallest k-th distance any range has reached so far.
   std::atomic<double> tau_{std::numeric_limits<double>::infinity()};
@@ -179,9 +222,11 @@ class BoundedScan {
 class ChunkedScan {
  public:
   ChunkedScan(const std::vector<nn::Vector>& rows, const nn::Vector& query,
-              size_t k, int64_t exclude, const CodeView& codes,
-              size_t chunk_rows)
-      : scan_(rows, query, exclude, codes),
+              size_t k, int64_t exclude,
+              const retrieval::Int8Quantizer* quantizer,
+              const retrieval::CodeBlocks& codes, size_t chunk_rows)
+      : scan_(rows, query, exclude, quantizer),
+        codes_(codes),
         num_rows_(rows.size()),
         chunk_rows_(chunk_rows),
         chunks_((rows.size() + chunk_rows - 1) / chunk_rows),
@@ -199,7 +244,7 @@ class ChunkedScan {
       const size_t begin = c * chunk_rows_;
       const size_t end = std::min(begin + chunk_rows_, num_rows_);
       try {
-        scan_.Run(begin, end, &heaps_[c]);
+        scan_.Run(codes_, begin, end, &heaps_[c]);
       } catch (...) {
         errors_[c] = std::current_exception();
       }
@@ -225,6 +270,7 @@ class ChunkedScan {
 
  private:
   BoundedScan scan_;
+  const retrieval::CodeBlocks& codes_;
   size_t num_rows_;
   size_t chunk_rows_;
   size_t chunks_;
@@ -243,6 +289,7 @@ EmbeddingDatabase::EmbeddingDatabase() {
 EmbeddingDatabase::EmbeddingDatabase(EmbeddingDatabase&& other) noexcept
     : dim_(other.dim_),
       embeddings_(std::move(other.embeddings_)),
+      quantizer_(std::move(other.quantizer_)),
       codes_(std::move(other.codes_)),
       build_us_(other.build_us_),
       insert_us_(other.insert_us_),
@@ -255,6 +302,7 @@ EmbeddingDatabase& EmbeddingDatabase::operator=(
   if (this != &other) {
     dim_ = other.dim_;
     embeddings_ = std::move(other.embeddings_);
+    quantizer_ = std::move(other.quantizer_);
     codes_ = std::move(other.codes_);
     build_us_ = other.build_us_;
     insert_us_ = other.insert_us_;
@@ -301,56 +349,19 @@ EmbeddingDatabase EmbeddingDatabase::Build(const NeuTrajModel& model,
                                   " embeds to a non-finite value");
     }
   }
-  Codes codes = EncodeRows(embeddings, max_abs, threads);
+  retrieval::Int8Quantizer quantizer = TrainQuantizer(count, max_abs);
+  retrieval::CodeBlocks codes =
+      retrieval::CodeBlocks::Encode(quantizer, embeddings, threads);
   {
     WriterLock lock(db.mu_);
     db.embeddings_ = std::move(embeddings);
     db.dim_ = dim;
+    db.quantizer_ = std::move(quantizer);
     db.codes_ = std::move(codes);
   }
   span.Stop();
   db.corpus_size_->Set(static_cast<double>(count));
   return db;
-}
-
-EmbeddingDatabase::Codes EmbeddingDatabase::EncodeRows(
-    const std::vector<nn::Vector>& rows, const std::vector<double>& max_abs,
-    size_t threads) {
-  Codes codes;
-  const size_t n = rows.size();
-  if (n == 0) return codes;
-  // Parts of whole blocks, one per worker, so no two workers write a block.
-  const size_t blocks = (n + kBlockRows - 1) / kBlockRows;
-  const size_t parts = std::clamp<size_t>(threads, 1, blocks);
-  const size_t part_rows = (blocks + parts - 1) / parts * kBlockRows;
-  codes.quantizer = retrieval::Int8Quantizer::FromMaxAbs(max_abs);
-  codes.blocks.resize(blocks * retrieval::BlockBytes(max_abs.size()));
-  codes.errors.resize(n);
-  codes.block_errors.resize(blocks);
-  ParallelFor(parts, threads, [&](size_t p) {
-    const size_t begin = p * part_rows;
-    const size_t end = std::min(n, begin + part_rows);
-    codes.quantizer.EncodeBlocks(rows, begin, end, codes.blocks.data(),
-                                 codes.errors.data());
-    for (size_t i = begin; i < end; ++i) {
-      double& block = codes.block_errors[i / kBlockRows];
-      block = std::max(block, codes.errors[i]);
-    }
-  });
-  return codes;
-}
-
-void EmbeddingDatabase::AppendCode() {
-  const size_t i = codes_.errors.size();
-  if (i % kBlockRows == 0) {
-    codes_.blocks.resize(codes_.blocks.size() + retrieval::BlockBytes(dim_));
-    codes_.block_errors.push_back(0.0);
-  }
-  codes_.errors.push_back(0.0);
-  codes_.quantizer.EncodeBlocks(embeddings_, i, i + 1, codes_.blocks.data(),
-                                codes_.errors.data());
-  codes_.block_errors.back() =
-      std::max(codes_.block_errors.back(), codes_.errors.back());
 }
 
 size_t EmbeddingDatabase::size() const {
@@ -385,7 +396,7 @@ size_t EmbeddingDatabase::Insert(const nn::Vector& embedding) {
           std::to_string(dim_));
     }
     embeddings_.push_back(embedding);
-    if (codes_.quantizer.trained()) AppendCode();
+    if (quantizer_.trained()) codes_.Append(quantizer_, embeddings_.back());
     new_size = embeddings_.size();
     id = new_size - 1;
   }
@@ -418,18 +429,13 @@ SearchResult EmbeddingDatabase::TopK(const nn::Vector& query, size_t k,
                                 " != database dimension " +
                                 std::to_string(dim_));
   }
-  CodeView codes;
-  if (codes_.quantizer.trained()) {
-    codes = {&codes_.quantizer, codes_.blocks.data(), codes_.errors.data(),
-             codes_.block_errors.data()};
-  }
   const size_t chunk_rows = ScanChunkRows(dim_);
   SearchResult result;
   if (helpers == nullptr || max_helpers == 0 ||
       embeddings_.size() <= chunk_rows) {
-    BoundedScan scan(embeddings_, query, exclude, codes);
+    BoundedScan scan(embeddings_, query, exclude, &quantizer_);
     TopKHeap heap(k);
-    scan.Run(0, embeddings_.size(), &heap);
+    scan.Run(codes_, 0, embeddings_.size(), &heap);
     result = heap.Take();
     topk_scored_rows_->Add(scan.scored());
   } else {
@@ -437,8 +443,8 @@ SearchResult EmbeddingDatabase::TopK(const nn::Vector& query, size_t k,
     // chunk finishes before Wait() returns, and the reader lock is held
     // until then. A helper task that starts later finds no chunk left and
     // only touches the shared state it co-owns.
-    auto scan = std::make_shared<ChunkedScan>(embeddings_, query, k, exclude,
-                                              codes, chunk_rows);
+    auto scan = std::make_shared<ChunkedScan>(
+        embeddings_, query, k, exclude, &quantizer_, codes_, chunk_rows);
     const size_t tasks = std::min(
         {helpers->num_threads(), max_helpers, scan->num_chunks() - 1});
     for (size_t t = 0; t < tasks; ++t) {
@@ -476,6 +482,25 @@ SearchResult EmbeddingDatabase::TopKOf(const nn::Vector& query,
     }
   }
   return EmbeddingTopKOf(embeddings_, query, candidates, k, exclude);
+}
+
+SearchResult EmbeddingDatabase::TopKOfLists(
+    const nn::Vector& query, size_t k, int64_t exclude,
+    const retrieval::Int8Quantizer& quantizer,
+    const std::vector<const retrieval::CodeList*>& lists) const {
+  obs::Span span("db/topk", topk_us_, nullptr);
+  ReaderLock lock(mu_);
+  if (query.size() != quantizer.dim()) {
+    throw std::invalid_argument(
+        "EmbeddingDatabase::TopKOfLists: query dimension " +
+        std::to_string(query.size()) + " != quantizer dimension " +
+        std::to_string(quantizer.dim()));
+  }
+  BoundedScan scan(embeddings_, query, exclude, &quantizer);
+  TopKHeap heap(k);
+  for (const retrieval::CodeList* list : lists) scan.Run(*list, &heap);
+  topk_scored_rows_->Add(scan.scored());
+  return heap.Take();
 }
 
 std::string EmbeddingDatabase::Serialize() const {
@@ -557,12 +582,15 @@ EmbeddingDatabase EmbeddingDatabase::Deserialize(const std::string& contents,
       check_finite(i, i);
     }
   }
-  Codes codes = EncodeRows(embeddings, max_abs, threads);
+  retrieval::Int8Quantizer quantizer = TrainQuantizer(count, max_abs);
+  retrieval::CodeBlocks codes =
+      retrieval::CodeBlocks::Encode(quantizer, embeddings, threads);
   EmbeddingDatabase db;
   {
     WriterLock lock(db.mu_);
     db.dim_ = dim;
     db.embeddings_ = std::move(embeddings);
+    db.quantizer_ = std::move(quantizer);
     db.codes_ = std::move(codes);
   }
   db.corpus_size_->Set(static_cast<double>(count));

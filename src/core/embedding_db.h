@@ -20,8 +20,8 @@
 // to parse the raw doubles as text and throws CorruptionError.
 //
 // Bounded exact TopK: beside the rows the database keeps an int8 index —
-// each row's code (retrieval/quantized.h) in blocks of 8 rows, stored
-// dimension-major inside a block (in pairs of dimensions, see
+// each row's code (retrieval/quantized.h CodeBlocks) in blocks of 8 rows,
+// stored dimension-major inside a block (in pairs of dimensions, see
 // retrieval/kernels.h BlockCodeOffset), each row's reconstruction error
 // rounded up and each block's largest error. TopK first runs the int8 pass of
 // retrieval/kernels.h over a block, which gives every row a lower bound on
@@ -32,6 +32,8 @@
 // bit-identical to EmbeddingTopK over the same rows. The bound is compared
 // in squares with a relative slack of 1e-9 and prunes only when strictly
 // above τ, so rounding and ties at the k-th distance never drop an answer.
+// IVF (retrieval/ivf_index.h) runs the same bound over its probed lists'
+// codes through TopKOfLists.
 //
 // When the index exists: Build and Deserialize train the quantizer on all
 // their rows and encode them (over `threads`). Insert then appends the
@@ -81,7 +83,7 @@ class EmbeddingDatabase {
   // build-then-serve lifecycle).
   EmbeddingDatabase(EmbeddingDatabase&& other) noexcept;
   // Analysis disabled deliberately: a move writes this->dim_, embeddings_
-  // and codes_ and reads other's without either lock, which is exactly the
+  // and the int8 index and reads other's without either lock, which is exactly the
   // documented contract above — both operands must be externally quiesced.
   // Taking both locks here would suggest a concurrency guarantee moves do
   // not provide.
@@ -131,8 +133,8 @@ class EmbeddingDatabase {
 
   /// Top-k nearest stored embeddings to `query` under L2. Deterministic
   /// under distance ties: equal distances are broken by ascending id. That
-  /// tie-break is a pinned API contract (tests/core_test.cc) — the IVF
-  /// re-rank (TopKOf, used by src/retrieval/) reproduces it to stay
+  /// tie-break is a pinned API contract (tests/core_test.cc) — IVF's list
+  /// scan (TopKOfLists, used by src/retrieval/) reproduces it to stay
   /// bit-identical with this scan, so changing it is a breaking change.
   /// `exclude` (if >= 0) removes one id — typically the query itself when
   /// it is part of the corpus. Takes the reader lock.
@@ -159,14 +161,27 @@ class EmbeddingDatabase {
   /// a multiple of the int8 index's 8-row blocks.
   static size_t ScanChunkRows(size_t dim);
 
-  /// TopK restricted to `candidates` — the exact re-rank behind an ANN
-  /// prefilter (see EmbeddingTopKOf). Scores and tie-breaks are
-  /// bit-identical to TopK whenever `candidates` covers the true top-k.
-  /// Candidate ids must be < size() (throws std::out_of_range otherwise);
-  /// duplicates are scored once. Takes the reader lock.
+  /// TopK restricted to `candidates` (see EmbeddingTopKOf): an oracle for
+  /// a result's ids. Scores and tie-breaks are bit-identical to TopK
+  /// whenever `candidates` covers the true top-k. Candidate ids must be
+  /// < size() (throws std::out_of_range otherwise); duplicates are scored
+  /// once. Takes the reader lock.
   SearchResult TopKOf(const nn::Vector& query,
                       const std::vector<size_t>& candidates, size_t k,
                       int64_t exclude = -1) const NEUTRAJ_EXCLUDES(mu_);
+
+  /// TopK over the rows `lists` name — IVF's probed lists — by the same
+  /// bound, read from each list's codes under `quantizer` (the one every
+  /// list was encoded with). The lists are scanned in order with one τ, so
+  /// the nearest list first prunes the most. A list's ids may come in any
+  /// order; a row the bound admits whose id is not < size() throws
+  /// std::out_of_range. The result is TopK's over exactly the listed rows,
+  /// ids and distance bits alike. Takes the reader lock.
+  SearchResult TopKOfLists(
+      const nn::Vector& query, size_t k, int64_t exclude,
+      const retrieval::Int8Quantizer& quantizer,
+      const std::vector<const retrieval::CodeList*>& lists) const
+      NEUTRAJ_EXCLUDES(mu_);
 
   /// Embeds `query` with `model` and runs TopK. The model must be the one
   /// the database was built with for the distances to be meaningful.
@@ -205,27 +220,13 @@ class EmbeddingDatabase {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  /// The int8 index beside the rows (see the header comment). An untrained
-  /// quantizer means no index: every TopK scans each row exactly.
-  struct Codes {
-    retrieval::Int8Quantizer quantizer;
-    std::vector<int8_t> blocks;        ///< ceil(n / 8) blocks, kernels.h.
-    std::vector<double> errors;        ///< Per row, rounded up.
-    std::vector<double> block_errors;  ///< Per block, the largest.
-  };
-
-  /// The index of `rows` (finite, their per-dimension max magnitudes in
-  /// `max_abs`), encoded over `threads` workers; no index for no rows.
-  static Codes EncodeRows(const std::vector<nn::Vector>& rows,
-                          const std::vector<double>& max_abs, size_t threads);
-
-  /// Appends the code of the last row (finite, of width dim_) to codes_.
-  void AppendCode() NEUTRAJ_REQUIRES(mu_);
-
   mutable SharedMutex mu_{lock_rank::kDb};
   size_t dim_ NEUTRAJ_GUARDED_BY(mu_) = 0;
   std::vector<nn::Vector> embeddings_ NEUTRAJ_GUARDED_BY(mu_);
-  Codes codes_ NEUTRAJ_GUARDED_BY(mu_);
+  /// The int8 index (see the header comment). An untrained quantizer means
+  /// no index: every TopK scans each row exactly.
+  retrieval::Int8Quantizer quantizer_ NEUTRAJ_GUARDED_BY(mu_);
+  retrieval::CodeBlocks codes_ NEUTRAJ_GUARDED_BY(mu_);
 
   // Registry-owned; re-resolved by AttachMetrics, copied by moves (both
   // operands end up recording to the same registry, which is correct for

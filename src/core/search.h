@@ -50,6 +50,11 @@ class TopKHeap {
     Offer({std::sqrt(sq), sq, id});
   }
 
+  /// OfferScanned for ids in any order: the row always takes its sqrt and
+  /// competes by (distance, id), so a tie at the worst entry's distance goes
+  /// to the lower id whenever it arrives.
+  void OfferAnyOrder(double sq, size_t id) { Offer({std::sqrt(sq), sq, id}); }
+
   /// The distance a row must not exceed to enter: the worst entry's once
   /// the heap holds k entries, +infinity before.
   double Bound() const {
@@ -95,8 +100,8 @@ SearchResult EmbeddingTopK(const std::vector<nn::Vector>& corpus,
                            const nn::Vector& query, size_t k,
                            int64_t exclude = -1);
 
-/// EmbeddingTopK restricted to `candidates` — the exact re-rank step behind
-/// an ANN prefilter (src/retrieval/). Distances and the (distance, then
+/// EmbeddingTopK restricted to `candidates` — EmbeddingDatabase::TopKOf's
+/// scan, an oracle for any result's ids. Distances and the (distance, then
 /// ascending id) tie-break are computed exactly as EmbeddingTopK computes
 /// them, so when `candidates` contains the true top-k the result is
 /// bit-identical to the full scan. Duplicate candidate ids are scored once.

@@ -12,7 +12,6 @@
 #include "geo/grid.h"
 #include "nn/attention.h"
 #include "nn/encoder.h"
-#include "nn/linear.h"
 
 namespace neutraj::eval {
 
@@ -142,33 +141,6 @@ void SeedMemory(Encoder* enc, Rng* rng, double stddev) {
 }
 
 // -- Battery cases ----------------------------------------------------------
-
-void CaseLinear(const GradAuditOptions& opts,
-                std::vector<GradAuditRecord>* out) {
-  Rng rng(101);
-  nn::Linear layer("lin", /*out_dim=*/4, /*in_dim=*/3);  // Non-square.
-  layer.Initialize(&rng);
-  Vector x = {0.3, -0.7, 1.2};
-  const Vector target = {0.1, 0.2, -0.3, 0.4};
-  auto loss_fn = [&layer, &x, &target]() {
-    Vector y;
-    layer.Forward(x, &y);
-    double l = 0.0;
-    for (size_t i = 0; i < y.size(); ++i) {
-      l += 0.5 * (y[i] - target[i]) * (y[i] - target[i]);
-    }
-    return l;
-  };
-  Vector y;
-  layer.Forward(x, &y);
-  Vector dy(y.size());
-  for (size_t i = 0; i < y.size(); ++i) dy[i] = y[i] - target[i];
-  nn::ZeroGrads(layer.Params());
-  Vector dx(x.size(), 0.0);
-  layer.Backward(x, dy, &dx);
-  AuditParams("linear/4x3", layer.Params(), 0, {}, loss_fn, opts, out);
-  AuditVector("linear/4x3", "x", &x, dx, loss_fn, opts, out);
-}
 
 /// Attention read: dq through mix, with an optional direct dL/dA term and an
 /// optional row mask.
@@ -319,7 +291,6 @@ void RunEncoderCase(const EncoderCase& c, const GradAuditOptions& opts,
 
 std::vector<GradAuditRecord> RunGradientAudit(const GradAuditOptions& opts) {
   std::vector<GradAuditRecord> out;
-  CaseLinear(opts, &out);
   CaseAttention("attention/read", 9, 6, false, nullptr, 102, opts, &out);
   CaseAttention("attention/da_direct", 9, 6, true, nullptr, 103, opts, &out);
   CaseAttention("attention/k1", 1, 6, true, nullptr, 104, opts, &out);

@@ -36,7 +36,6 @@ void IvfBackend::AttachMetrics(obs::MetricsRegistry* registry) {
   candidates_scanned_ = &registry->GetCounter("retrieval/candidates_scanned");
   lists_probed_ = &registry->GetCounter("retrieval/lists_probed");
   queries_ = &registry->GetCounter("retrieval/queries");
-  proxy_top1_hits_ = &registry->GetCounter("retrieval/proxy_top1_hits");
 }
 
 void IvfBackend::Build(size_t threads) {
@@ -51,23 +50,16 @@ SearchResult IvfBackend::TopK(const nn::Vector& query, size_t k,
                               int64_t exclude, size_t nprobe,
                               obs::RequestTrace* trace) {
   obs::Span probe_span("probe", probe_us_, trace);
-  const IvfIndex::CandidateSet candidates =
-      index_.Candidates(query, k, nprobe);
+  const std::vector<size_t> lists = index_.Probe(query, nprobe);
   probe_span.Stop();
-  candidates_scanned_->Add(candidates.scanned);
-  lists_probed_->Add(candidates.probed);
-  queries_->Increment();
 
   obs::Span rerank_span("rerank", rerank_us_, trace);
-  SearchResult result = db_->TopKOf(query, candidates.ids, k, exclude);
+  size_t scanned = 0;
+  SearchResult result = index_.TopK(*db_, query, lists, k, exclude, &scanned);
   rerank_span.Stop();
-  // Recall proxy: candidates.ids is ascending by proxy distance, so its
-  // front is the quantized tier's best guess; count how often the exact
-  // re-rank agrees.
-  if (!result.ids.empty() && !candidates.ids.empty() &&
-      result.ids.front() == candidates.ids.front()) {
-    proxy_top1_hits_->Increment();
-  }
+  candidates_scanned_->Add(scanned);
+  lists_probed_->Add(lists.size());
+  queries_->Increment();
   return result;
 }
 

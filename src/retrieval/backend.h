@@ -5,23 +5,20 @@
 // the service's default, is the full O(N * d) EmbeddingDatabase scan, split
 // into row chunks that the calling thread and the backend's helper threads
 // claim together.
-// IvfBackend is the ANN path: an IvfIndex prefilter (coarse probe + int8
-// proxy scan) followed by an exact re-rank through
-// EmbeddingDatabase::TopKOf, so its scores are bit-identical to the exact
-// path and only recall is approximate. Both backends are views over the
-// service's primary EmbeddingDatabase — inserts land in the database (and
-// WAL) first, then NotifyInsert keeps the backend's index current.
+// IvfBackend is the ANN path: an IvfIndex probe ranks the centroids, then
+// the exact scan's int8 bound runs over the probed lists, so the result is
+// the exact top-k of those lists and only which lists are probed is
+// approximate; probing every list gives ExactBackend's answer bit for bit.
+// Both backends are views over the service's primary EmbeddingDatabase —
+// inserts land in the database (and WAL) first, then NotifyInsert keeps
+// the backend's index current.
 //
 // Telemetry (IvfBackend, re-resolved by AttachMetrics):
-//   retrieval/probe_us            histogram  coarse probe + proxy scan
-//   retrieval/rerank_us           histogram  exact re-rank over candidates
-//   retrieval/candidates_scanned  counter    postings visited
-//   retrieval/lists_probed        counter    cells probed
+//   retrieval/probe_us            histogram  centroid ranking
+//   retrieval/rerank_us           histogram  bounded scan of the probed lists
+//   retrieval/candidates_scanned  counter    rows the probed lists hold
+//   retrieval/lists_probed        counter    lists probed
 //   retrieval/queries             counter    TopK calls served
-//   retrieval/proxy_top1_hits     counter    queries whose proxy-best
-//                                            candidate survived as the exact
-//                                            top-1 — a cheap recall proxy
-//                                            (hits / queries ~ recall@1).
 
 #ifndef NEUTRAJ_RETRIEVAL_BACKEND_H_
 #define NEUTRAJ_RETRIEVAL_BACKEND_H_
@@ -91,8 +88,9 @@ class ExactBackend final : public RetrievalBackend {
   std::atomic<size_t> callers_{0};       ///< TopK calls in flight.
 };
 
-/// IVF prefilter + exact re-rank. Build() must run on a quiesced database
-/// before the backend serves traffic; NotifyInsert keeps it current after.
+/// IVF probe + bounded scan of the probed lists. Build() must run on a
+/// quiesced database before the backend serves traffic; NotifyInsert keeps
+/// it current after.
 class IvfBackend final : public RetrievalBackend {
  public:
   /// `db` must outlive the backend. Metrics register in `registry`
@@ -123,7 +121,6 @@ class IvfBackend final : public RetrievalBackend {
   obs::Counter* candidates_scanned_ = nullptr;
   obs::Counter* lists_probed_ = nullptr;
   obs::Counter* queries_ = nullptr;
-  obs::Counter* proxy_top1_hits_ = nullptr;
 };
 
 }  // namespace neutraj::retrieval

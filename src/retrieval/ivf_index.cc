@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/embedding_db.h"
 #include "retrieval/kernels.h"
 
 namespace neutraj::retrieval {
@@ -28,14 +29,6 @@ size_t NearestCentroid(const std::vector<nn::Vector>& centroids,
     }
   }
   return best;
-}
-
-/// Worst-first ordering for the bounded candidate heap, by (proxy, id) —
-/// exact integer comparisons, so eviction order is fully deterministic.
-bool ProxyWorseThan(const std::pair<int64_t, size_t>& a,
-                    const std::pair<int64_t, size_t>& b) {
-  if (a.first != b.first) return a.first < b.first;
-  return a.second < b.second;
 }
 
 }  // namespace
@@ -64,7 +57,7 @@ void IvfIndex::Build(const std::vector<nn::Vector>& rows, size_t threads) {
   quantizer_ = Int8Quantizer::Train(rows);
 
   // Seeded k-means over a sample: deterministic init, fixed Lloyd
-  // iterations, empty cells keep their previous centroid.
+  // iterations, empty lists keep their previous centroid.
   Rng rng(options_.seed);
   std::vector<size_t> sample;
   if (n <= options_.train_sample) {
@@ -99,7 +92,7 @@ void IvfIndex::Build(const std::vector<nn::Vector>& rows, size_t threads) {
       ++counts[assign[s]];
     }
     for (size_t c = 0; c < nlist; ++c) {
-      if (counts[c] == 0) continue;  // Empty cell keeps its old centroid.
+      if (counts[c] == 0) continue;  // Empty list keeps its old centroid.
       for (size_t d = 0; d < dim; ++d) {
         centroids[c][d] = sums[c][d] / static_cast<double>(counts[c]);
       }
@@ -113,23 +106,17 @@ void IvfIndex::Build(const std::vector<nn::Vector>& rows, size_t threads) {
     full_assign[i] = NearestCentroid(centroids, rows[i].data(), dim);
   });
 
-  std::vector<Cell> cells(nlist);
-  for (size_t c = 0; c < nlist; ++c) counts[c] = 0;
-  for (size_t i = 0; i < n; ++i) ++counts[full_assign[i]];
-  for (size_t c = 0; c < nlist; ++c) {
-    cells[c].ids.reserve(counts[c]);
-    cells[c].codes.reserve(counts[c] * dim);
-  }
+  std::vector<CodeList> lists(nlist);
   for (size_t i = 0; i < n; ++i) {
-    Cell& cell = cells[full_assign[i]];
-    cell.ids.push_back(i);
-    quantizer_.EncodeAppend(rows[i], &cell.codes);
+    CodeList& list = lists[full_assign[i]];
+    list.ids.push_back(i);
+    list.codes.Append(quantizer_, rows[i]);
   }
 
   {
     WriterLock lock(mu_);
     centroids_ = std::move(centroids);
-    cells_ = std::move(cells);
+    lists_ = std::move(lists);
     rows_ = n;
   }
   built_.store(true, std::memory_order_release);
@@ -157,73 +144,64 @@ void IvfIndex::Insert(size_t id, const nn::Vector& embedding) {
   }
   NEUTRAJ_DCHECK_FINITE(embedding);
   WriterLock lock(mu_);
-  Cell& cell =
-      cells_[NearestCentroid(centroids_, embedding.data(), embedding.size())];
-  cell.ids.push_back(id);
-  quantizer_.EncodeAppend(embedding, &cell.codes);
+  CodeList& list =
+      lists_[NearestCentroid(centroids_, embedding.data(), embedding.size())];
+  list.ids.push_back(id);
+  list.codes.Append(quantizer_, embedding);
   ++rows_;
 }
 
-IvfIndex::CandidateSet IvfIndex::Candidates(const nn::Vector& query, size_t k,
-                                            size_t nprobe) const {
+void IvfIndex::CheckQuery(const nn::Vector& query, const char* caller) const {
   if (!built()) {
-    throw std::logic_error("IvfIndex::Candidates: index not built");
+    throw std::logic_error(std::string("IvfIndex::") + caller +
+                           ": index not built");
   }
   if (query.size() != dim()) {
     throw std::invalid_argument(
-        "IvfIndex::Candidates: query dimension " +
+        std::string("IvfIndex::") + caller + ": query dimension " +
         std::to_string(query.size()) + " != index dimension " +
         std::to_string(dim()));
   }
-  const std::vector<int8_t> query_code = quantizer_.Encode(query);
-  const size_t target = std::max(k, options_.rerank);
+}
 
-  CandidateSet out;
-  std::vector<std::pair<int64_t, size_t>> heap;  // Worst-first bounded heap.
-  heap.reserve(target + 1);
-  {
-    ReaderLock lock(mu_);
-    // Rank cells by exact centroid distance, ties toward the lower list id.
-    const size_t probe =
-        std::max<size_t>(1, std::min(nprobe == 0 ? options_.default_nprobe
-                                                 : nprobe,
-                                     centroids_.size()));
-    std::vector<std::pair<double, size_t>> order;
-    order.reserve(centroids_.size());
-    for (size_t c = 0; c < centroids_.size(); ++c) {
-      order.emplace_back(
-          ExactSquaredL2(centroids_[c].data(), query.data(), query.size()),
-          c);
-    }
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<ptrdiff_t>(probe),
-                      order.end());
-    out.probed = probe;
-
-    for (size_t p = 0; p < probe; ++p) {
-      const Cell& cell = cells_[order[p].second];
-      const size_t d = dim();
-      for (size_t i = 0; i < cell.ids.size(); ++i) {
-        const int64_t proxy =
-            quantizer_.WeightedCodeAccum(query_code.data(),
-                                         cell.codes.data() + i * d);
-        const std::pair<int64_t, size_t> cand{proxy, cell.ids[i]};
-        if (heap.size() < target) {
-          heap.push_back(cand);
-          std::push_heap(heap.begin(), heap.end(), ProxyWorseThan);
-        } else if (target > 0 && ProxyWorseThan(cand, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), ProxyWorseThan);
-          heap.back() = cand;
-          std::push_heap(heap.begin(), heap.end(), ProxyWorseThan);
-        }
-      }
-      out.scanned += cell.ids.size();
-    }
+std::vector<size_t> IvfIndex::Probe(const nn::Vector& query,
+                                    size_t nprobe) const {
+  CheckQuery(query, "Probe");
+  ReaderLock lock(mu_);
+  // Rank lists by exact centroid distance, ties toward the lower list id.
+  const size_t probe = std::max<size_t>(
+      1, std::min(nprobe == 0 ? options_.default_nprobe : nprobe,
+                  centroids_.size()));
+  std::vector<std::pair<double, size_t>> order;
+  order.reserve(centroids_.size());
+  for (size_t c = 0; c < centroids_.size(); ++c) {
+    order.emplace_back(
+        ExactSquaredL2(centroids_[c].data(), query.data(), query.size()), c);
   }
-  std::sort_heap(heap.begin(), heap.end(), ProxyWorseThan);  // Ascending.
-  out.ids.reserve(heap.size());
-  for (const auto& cand : heap) out.ids.push_back(cand.second);
-  return out;
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<ptrdiff_t>(probe), order.end());
+  std::vector<size_t> lists(probe);
+  for (size_t p = 0; p < probe; ++p) lists[p] = order[p].second;
+  return lists;
+}
+
+SearchResult IvfIndex::TopK(const EmbeddingDatabase& db,
+                            const nn::Vector& query,
+                            const std::vector<size_t>& lists, size_t k,
+                            int64_t exclude, size_t* scanned) const {
+  CheckQuery(query, "TopK");
+  ReaderLock lock(mu_);
+  std::vector<const CodeList*> probed;
+  probed.reserve(lists.size());
+  size_t rows = 0;
+  for (const size_t l : lists) {
+    probed.push_back(&lists_.at(l));
+    rows += probed.back()->ids.size();
+  }
+  if (scanned != nullptr) *scanned = rows;
+  // Lock rank kRetrieval -> kDb: the lists stay put while the database
+  // reads their rows.
+  return db.TopKOfLists(query, k, exclude, quantizer_, probed);
 }
 
 }  // namespace neutraj::retrieval

@@ -1,29 +1,35 @@
-// IVF (inverted-file) ANN index over corpus embeddings.
+// IVF (inverted-file) index over corpus embeddings.
 //
 // The exact serving scan is O(N * d) per query; at millions of rows that is
 // the latency floor. This index buys back most of it with the classic IVF
 // recipe: a coarse k-means quantizer partitions the corpus into `nlist`
-// cells, each cell keeps a posting list of (id, int8 code), and a query
-// scans only the `nprobe` cells whose centroids are nearest. Scanned
-// postings are ranked by the integer quantized proxy distance
-// (retrieval/quantized.h) and the best max(k, rerank) ids are surfaced as
-// CANDIDATES — the caller re-ranks them with the exact float distance
-// (EmbeddingDatabase::TopKOf), so every score the user sees is bit-identical
-// to the exact path; only recall (which ids make the cut) is approximate.
+// lists, and a query reads only the `nprobe` lists whose centroids are
+// nearest. Each list keeps its rows' corpus ids and their int8 codes
+// (retrieval/quantized.h CodeList), and TopK runs the exact scan's bound
+// over them (EmbeddingDatabase::TopKOfLists): only rows whose bound can
+// reach the top k get their exact distance, read from the database. So the
+// result is the exact top-k of the probed lists, distance bits and the
+// (distance, ascending id) order included; probing every list gives
+// exactly EmbeddingDatabase::TopK. Only which lists are probed is
+// approximate.
 //
 // Determinism. The build is a pure function of (rows, Options): seeded
 // sampling, seeded initial centroids, a fixed number of Lloyd iterations
-// with ties broken toward the lower list id and empty cells keeping their
+// with ties broken toward the lower list id and empty lists keeping their
 // previous centroid, and an assignment pass whose result is independent of
 // the thread count. Queries are deterministic for a fixed (index, nprobe):
-// centroid ranking ties break toward the lower list id and the posting scan
-// ranks by exact integer arithmetic with ties toward the lower row id.
+// centroid ranking ties break toward the lower list id, and the scan is
+// exact.
 //
-// Concurrency. Centroids, postings, and row count live behind a SharedMutex
-// at lock_rank::kRetrieval (below the kDb corpus lock, so a caller may hold
-// this index's lock into the exact re-rank). Candidates() takes the reader
+// Concurrency. Centroids, lists, and row count live behind a SharedMutex
+// at lock_rank::kRetrieval (below the kDb corpus lock, so TopK holds this
+// index's lock into the database's). Probe() and TopK() take the reader
 // lock, Insert() the writer lock. The quantizer and options are fixed by
 // Build() before the index serves traffic and are read without locking.
+//
+// A list's ids need not ascend: the serving layer mirrors a row into the
+// index after the database insert returns, outside any lock, so concurrent
+// inserters can land ids out of order.
 
 #ifndef NEUTRAJ_RETRIEVAL_IVF_INDEX_H_
 #define NEUTRAJ_RETRIEVAL_IVF_INDEX_H_
@@ -33,16 +39,21 @@
 #include <vector>
 
 #include "common/sync.h"
+#include "core/search.h"
 #include "nn/matrix.h"
 #include "retrieval/quantized.h"
 
+namespace neutraj {
+class EmbeddingDatabase;
+}
+
 namespace neutraj::retrieval {
 
-/// Coarse-quantized inverted-file index with int8-coded posting lists.
+/// Coarse-quantized inverted-file index with int8-coded lists.
 class IvfIndex {
  public:
   struct Options {
-    /// Target cell count; clamped to the corpus size at build time.
+    /// Target list count; clamped to the corpus size at build time.
     size_t nlist = 64;
     /// Rows sampled (seeded, without replacement) to train k-means.
     size_t train_sample = 16384;
@@ -50,11 +61,8 @@ class IvfIndex {
     size_t kmeans_iters = 8;
     /// Seed for sampling and centroid initialization.
     uint64_t seed = 42;
-    /// Cells probed when the caller passes nprobe = 0.
+    /// Lists probed when the caller passes nprobe = 0.
     size_t default_nprobe = 8;
-    /// Candidates() surfaces at least this many ids (when available) so the
-    /// exact re-rank has slack beyond k to fix proxy-ranking mistakes.
-    size_t rerank = 64;
   };
 
   IvfIndex() : IvfIndex(Options{}) {}
@@ -75,45 +83,40 @@ class IvfIndex {
   /// Embedding width (0 before Build).
   size_t dim() const { return quantizer_.dim(); }
 
-  /// Actual cell count after clamping (0 before Build).
+  /// Actual list count after clamping (0 before Build).
   size_t nlist() const NEUTRAJ_EXCLUDES(mu_);
 
   /// Indexed rows (build rows + live inserts).
   size_t size() const NEUTRAJ_EXCLUDES(mu_);
 
-  /// Adds row `id` to the cell with the nearest centroid. The id is the
+  /// Adds row `id` to the list with the nearest centroid. The id is the
   /// caller's corpus id (the serve layer passes the database insert id).
   /// Throws std::logic_error before Build and std::invalid_argument on a
   /// dimension mismatch.
   void Insert(size_t id, const nn::Vector& embedding) NEUTRAJ_EXCLUDES(mu_);
 
-  struct CandidateSet {
-    /// Candidate ids in ascending (proxy distance, id) order.
-    std::vector<size_t> ids;
-    /// Postings visited across the probed cells.
-    size_t scanned = 0;
-    /// Cells probed (min(nprobe, nlist)).
-    size_t probed = 0;
-  };
+  /// The lists `query` probes, nearest centroid first: the nprobe nearest
+  /// (0 = Options::default_nprobe; clamped to [1, nlist]), ties toward the
+  /// lower list id. Throws std::logic_error before Build and
+  /// std::invalid_argument on a dimension mismatch.
+  std::vector<size_t> Probe(const nn::Vector& query, size_t nprobe = 0) const
+      NEUTRAJ_EXCLUDES(mu_);
 
-  /// Candidate ids for an exact re-rank: probes the `nprobe` cells nearest
-  /// to `query` (0 = Options::default_nprobe; clamped to [1, nlist]) and
-  /// returns the max(k, Options::rerank) best ids by the integer proxy
-  /// distance. Deterministic for a fixed (index, query, k, nprobe).
-  CandidateSet Candidates(const nn::Vector& query, size_t k,
-                          size_t nprobe = 0) const NEUTRAJ_EXCLUDES(mu_);
-
-  /// The trained int8 tier (immutable after Build).
-  const Int8Quantizer& quantizer() const { return quantizer_; }
+  /// The exact top-k of the rows in `lists` (as Probe returns them), their
+  /// distances read from `db`, the database whose ids the lists hold:
+  /// EmbeddingDatabase::TopKOfLists under this index's reader lock.
+  /// `scanned` (nullable) receives how many rows the lists hold. Throws as
+  /// Probe does, and std::out_of_range on a list number >= nlist().
+  SearchResult TopK(const EmbeddingDatabase& db, const nn::Vector& query,
+                    const std::vector<size_t>& lists, size_t k,
+                    int64_t exclude = -1, size_t* scanned = nullptr) const
+      NEUTRAJ_EXCLUDES(mu_);
 
   const Options& options() const { return options_; }
 
  private:
-  struct Cell {
-    std::vector<size_t> ids;
-    /// Flat int8 codes: posting p occupies [p * dim, (p + 1) * dim).
-    std::vector<int8_t> codes;
-  };
+  /// Throws unless the index is built and `query` has its width.
+  void CheckQuery(const nn::Vector& query, const char* caller) const;
 
   const Options options_;
   Int8Quantizer quantizer_;  ///< Fixed by Build before serving.
@@ -121,7 +124,7 @@ class IvfIndex {
 
   mutable SharedMutex mu_{lock_rank::kRetrieval};
   std::vector<nn::Vector> centroids_ NEUTRAJ_GUARDED_BY(mu_);
-  std::vector<Cell> cells_ NEUTRAJ_GUARDED_BY(mu_);
+  std::vector<CodeList> lists_ NEUTRAJ_GUARDED_BY(mu_);
   size_t rows_ NEUTRAJ_GUARDED_BY(mu_) = 0;
 };
 

@@ -25,31 +25,6 @@ double RoundedUpSqrt(double squared) {
 
 namespace internal {
 
-int64_t WeightedCodeSquaredL2Portable(const int8_t* a, const int8_t* b,
-                                      const int32_t* w, size_t dim) {
-  // 4-way unrolled so the compiler's auto-vectorizer has independent
-  // accumulation chains; every product is exact integer math, so the
-  // unroll cannot change the result.
-  int64_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-  size_t d = 0;
-  for (; d + 4 <= dim; d += 4) {
-    const int32_t d0 = static_cast<int32_t>(a[d]) - b[d];
-    const int32_t d1 = static_cast<int32_t>(a[d + 1]) - b[d + 1];
-    const int32_t d2 = static_cast<int32_t>(a[d + 2]) - b[d + 2];
-    const int32_t d3 = static_cast<int32_t>(a[d + 3]) - b[d + 3];
-    acc0 += w[d] * (d0 * d0);
-    acc1 += w[d + 1] * (d1 * d1);
-    acc2 += w[d + 2] * (d2 * d2);
-    acc3 += w[d + 3] * (d3 * d3);
-  }
-  int64_t acc = acc0 + acc1 + acc2 + acc3;
-  for (; d < dim; ++d) {
-    const int32_t diff = static_cast<int32_t>(a[d]) - b[d];
-    acc += w[d] * (diff * diff);
-  }
-  return acc;
-}
-
 namespace {
 
 /// The low (dimension 2p) or high (2p + 1) int16 half of a packed pair.
@@ -113,35 +88,26 @@ bool QuantizedAvx2Available() {
 
 namespace {
 
-using WeightedFn = int64_t (*)(const int8_t*, const int8_t*, const int32_t*,
-                               size_t);
-
 using BlockFn = bool (*)(const int8_t*, const int32_t*, const int32_t*,
                         size_t, int64_t, int64_t*);
 
-/// The dispatch slots, one per kernel, always set together. Null until
-/// first use; resolved lazily (not at static init) so SetQuantizedKernel in
-/// a test harness and the cpuid probe cannot race static construction
-/// order.
-std::atomic<WeightedFn> g_weighted{nullptr};
+/// The dispatch slot. Null until first use; resolved lazily (not at static
+/// init) so SetQuantizedKernel in a test harness and the cpuid probe cannot
+/// race static construction order.
 std::atomic<BlockFn> g_block{nullptr};
 
-/// g_weighted is stored last, with release, so a reader that sees it set
-/// (acquire, in EnsureSelected) also sees g_block.
 void Select(bool avx2) {
   g_block.store(avx2 ? &internal::BlockCodeSquaredL2Avx2
                      : &internal::BlockCodeSquaredL2Portable,
                 std::memory_order_relaxed);
-  g_weighted.store(avx2 ? &internal::WeightedCodeSquaredL2Avx2
-                        : &internal::WeightedCodeSquaredL2Portable,
-                   std::memory_order_release);
 }
 
-/// Resolves the slots on first use.
-void EnsureSelected() {
-  if (g_weighted.load(std::memory_order_acquire) == nullptr) {
+/// Resolves the slot on first use.
+BlockFn ActiveBlock() {
+  if (g_block.load(std::memory_order_relaxed) == nullptr) {
     Select(internal::QuantizedAvx2Available());
   }
+  return g_block.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -162,12 +128,6 @@ void SetQuantizedKernel(QuantizedKernel choice) {
       Select(true);
       return;
   }
-}
-
-int64_t WeightedCodeSquaredL2(const int8_t* a, const int8_t* b,
-                              const int32_t* w, size_t dim) {
-  EnsureSelected();
-  return g_weighted.load(std::memory_order_relaxed)(a, b, w, dim);
 }
 
 double QuantizeRow(const double* v, const double* scales, size_t dim,
@@ -193,26 +153,12 @@ double QuantizeRow(const double* v, const double* scales, size_t dim,
 bool BlockCodeSquaredL2(const int8_t* block, const int32_t* q_pairs,
                         const int32_t* w_pairs, size_t pairs, int64_t limit,
                         int64_t* sums) {
-  EnsureSelected();
-  return g_block.load(std::memory_order_relaxed)(block, q_pairs, w_pairs, pairs,
-                                                 limit, sums);
-}
-
-int64_t CodeSquaredL2(const int8_t* a, const int8_t* b, size_t dim) {
-  int64_t acc = 0;
-  for (size_t d = 0; d < dim; ++d) {
-    const int32_t diff = static_cast<int32_t>(a[d]) - b[d];
-    acc += diff * diff;
-  }
-  return acc;
+  return ActiveBlock()(block, q_pairs, w_pairs, pairs, limit, sums);
 }
 
 const char* QuantizedKernelName() {
-  EnsureSelected();
-  return g_weighted.load(std::memory_order_relaxed) ==
-                 &internal::WeightedCodeSquaredL2Avx2
-             ? "avx2"
-             : "portable";
+  return ActiveBlock() == &internal::BlockCodeSquaredL2Avx2 ? "avx2"
+                                                           : "portable";
 }
 
 }  // namespace neutraj::retrieval

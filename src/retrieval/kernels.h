@@ -5,27 +5,20 @@
 // accuracy it is buying:
 //
 //   - Exact kernel (double): bit-identical to the core scan path
-//     (nn::L2Distance), used by k-means training and centroid assignment.
-//     ExactSquaredL2 is the monotone form (no sqrt) for argmin searches;
-//     its sqrt is bit-identical to the distance the serving TopK returns.
+//     (nn::L2Distance), used by k-means training, centroid assignment and
+//     every distance a TopK returns. ExactSquaredL2 is the monotone form
+//     (no sqrt); its sqrt is bit-identical to nn::L2Distance.
 //
-//   - Quantized kernels (int8 codes): integer-only inner loops — subtract,
-//     square, weighted i32 products accumulated into i64 — so the candidate
-//     scan is cheap, SIMD-friendly and bit-identical between the vector and
-//     portable fallback implementations: integer arithmetic has no
-//     rounding, so kernel choice can never change which candidates survive
-//     to the exact re-rank. The AVX2 path is RUNTIME-dispatched: its
+//   - One int8 kernel, BlockCodeSquaredL2: the lower-bound pass of every
+//     TopK (retrieval/quantized.h) over 8 rows of codes at a time, with the
+//     bound's integer weights. It is integer-only — subtract, weight,
+//     multiply-add into i32 runs summed in i64 — so its sums, and the
+//     blocks it lets through, are bit-identical between the AVX2 and
+//     portable implementations. The AVX2 path is RUNTIME-dispatched: its
 //     translation unit (kernels_avx2.cc) is compiled with -mavx2 whenever
 //     the toolchain supports the flag on x86, and engages only when cpuid
 //     reports AVX2 — so CI builds and tests it on any x86 runner instead of
 //     depending on a compile-time -mavx2 gate nobody sets.
-//
-// The weighted form implements per-dimension symmetric quantization scales
-// (see quantized.h): with codes a_d = round(x_d / s_d) and integer weights
-// w_d ∝ s_d², Σ w_d (a_d - b_d)² is proportional to the true squared L2 up
-// to quantization error. Weights and codes are both integers, so the whole
-// scan is exact integer arithmetic; the caller applies one float factor at
-// the end to map the accumulator back to L2 units.
 
 #ifndef NEUTRAJ_RETRIEVAL_KERNELS_H_
 #define NEUTRAJ_RETRIEVAL_KERNELS_H_
@@ -53,18 +46,7 @@ double QuantizeRow(const double* v, const double* scales, size_t dim,
 /// a lower bound subtracts, such as a quantizer's reconstruction error.
 double RoundedUpSqrt(double squared);
 
-/// Σ w_d · (a_d - b_d)² over int8 codes with int32 weights, accumulated in
-/// int64. Exact for any dim ≤ 2^31 / (254² · max_w) per partial block —
-/// with w_d ≤ 256 a single (a-b)²·w product fits comfortably in i32 and
-/// the i64 accumulator never overflows for any realistic dim. Deterministic
-/// and identical across the portable and SIMD implementations.
-int64_t WeightedCodeSquaredL2(const int8_t* a, const int8_t* b,
-                              const int32_t* w, size_t dim);
-
-/// Unweighted Σ (a_d - b_d)² over int8 codes (uniform-scale quantizers).
-int64_t CodeSquaredL2(const int8_t* a, const int8_t* b, size_t dim);
-
-/// Rows per block of the bounded scan's code layout (core/embedding_db.h).
+/// Rows per block of the code layout (retrieval/quantized.h CodeBlocks).
 inline constexpr size_t kCodeBlockRows = 8;
 
 /// The block layout: dimensions go in pairs (2p, 2p + 1), the last one
@@ -92,7 +74,7 @@ std::vector<int32_t> PackDimensionPairs(const T* v, size_t dim) {
   return pairs;
 }
 
-/// The bounded scan's int8 pass over one block in the layout above:
+/// A TopK's int8 pass over one block in the layout above:
 /// sums[r] = Σ_d w_d · (a_rd − q_d)², with the query's codes q and the
 /// weights w packed by PackDimensionPairs over `pairs` = ceil(dim / 2)
 /// entries. Codes lie in [−127, 127] and weights in [0, 128], so
@@ -119,9 +101,8 @@ const char* QuantizedKernelName();
 
 /// Quantized-kernel selection for tests and benches. kAuto (the startup
 /// state) dispatches on cpuid; kPortable / kAvx2 pin one implementation of
-/// WeightedCodeSquaredL2 and BlockCodeSquaredL2, so the bit-identity tests
-/// can run both on the same machine and a bench can name which kernel it
-/// measured.
+/// BlockCodeSquaredL2, so the bit-identity tests can run both on the same
+/// machine and a bench can name which kernel it measured.
 enum class QuantizedKernel { kAuto, kPortable, kAvx2 };
 
 /// Overrides the dispatch. Throws std::runtime_error for kAvx2 when the
@@ -132,18 +113,11 @@ void SetQuantizedKernel(QuantizedKernel choice);
 
 namespace internal {
 
-/// Portable reference implementation — always available, the bit-identity
-/// baseline.
-int64_t WeightedCodeSquaredL2Portable(const int8_t* a, const int8_t* b,
-                                      const int32_t* w, size_t dim);
-
-/// AVX2 implementation (kernels_avx2.cc, compiled with -mavx2). Call only
-/// when QuantizedAvx2Available(); on builds without the AVX2 TU it falls
-/// back to the portable kernel.
-int64_t WeightedCodeSquaredL2Avx2(const int8_t* a, const int8_t* b,
-                                  const int32_t* w, size_t dim);
-
-/// The two forms of BlockCodeSquaredL2, with the same dispatch rules.
+/// The two forms of BlockCodeSquaredL2. The portable one is always
+/// available and is the bit-identity baseline; call the AVX2 one
+/// (kernels_avx2.cc, compiled with -mavx2) only when
+/// QuantizedAvx2Available(): on builds without the AVX2 TU it falls back to
+/// the portable kernel.
 bool BlockCodeSquaredL2Portable(const int8_t* block, const int32_t* q_pairs,
                                 const int32_t* w_pairs, size_t pairs,
                                 int64_t limit, int64_t* sums);

@@ -1,14 +1,14 @@
-// The AVX2 quantized-scan kernels, isolated in their own translation unit so
+// The AVX2 form of the block kernel, isolated in its own translation unit so
 // the build can compile exactly this file with -mavx2 (see src/CMakeLists)
 // while the rest of the tree keeps the baseline ISA. Callers never reach
-// the *Avx2 entry points directly — dispatch in kernels.cc checks
+// the Avx2 entry point directly — dispatch in kernels.cc checks
 // QuantizedAvx2Available() (compiled-in AND cpuid) first, so a binary built
 // here runs correctly on a CPU without AVX2.
 //
 // When the toolchain cannot target AVX2 at all (non-x86, or a compiler
 // without -mavx2), the #else branch keeps the symbols defined:
-// QuantizedAvx2CompiledIn() reports false and the Avx2 entry points degrade
-// to the portable kernels, which dispatch never selects anyway.
+// QuantizedAvx2CompiledIn() reports false and the Avx2 entry point degrades
+// to the portable kernel, which dispatch never selects anyway.
 
 #include "retrieval/kernels.h"
 
@@ -21,41 +21,6 @@
 namespace neutraj::retrieval::internal {
 
 bool QuantizedAvx2CompiledIn() { return true; }
-
-/// Widen int8 lanes to i32, diff², multiply by the i32 weights, accumulate
-/// in four i64 lanes. Integer end to end — bit-identical to the portable
-/// kernel by construction.
-int64_t WeightedCodeSquaredL2Avx2(const int8_t* a, const int8_t* b,
-                                  const int32_t* w, size_t dim) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    const __m128i a8 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + d));
-    const __m128i b8 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + d));
-    const __m256i ai = _mm256_cvtepi8_epi32(a8);
-    const __m256i bi = _mm256_cvtepi8_epi32(b8);
-    const __m256i diff = _mm256_sub_epi32(ai, bi);
-    const __m256i sq = _mm256_mullo_epi32(diff, diff);
-    const __m256i wi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + d));
-    const __m256i prod = _mm256_mullo_epi32(sq, wi);
-    // Widen the 8 i32 products to i64 in two halves and accumulate.
-    const __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(prod));
-    const __m256i hi =
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(prod, 1));
-    acc = _mm256_add_epi64(acc, _mm256_add_epi64(lo, hi));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; d < dim; ++d) {
-    const int32_t diff = static_cast<int32_t>(a[d]) - b[d];
-    total += w[d] * (diff * diff);
-  }
-  return total;
-}
 
 namespace {
 
@@ -121,16 +86,11 @@ namespace neutraj::retrieval::internal {
 
 bool QuantizedAvx2CompiledIn() { return false; }
 
-int64_t WeightedCodeSquaredL2Avx2(const int8_t* a, const int8_t* b,
-                                  const int32_t* w, size_t dim) {
-  // Unreachable through dispatch (QuantizedAvx2Available() is false); kept
-  // defined so the symbol exists on every platform.
-  return WeightedCodeSquaredL2Portable(a, b, w, dim);
-}
-
 bool BlockCodeSquaredL2Avx2(const int8_t* block, const int32_t* q_pairs,
                             const int32_t* w_pairs, size_t pairs,
                             int64_t limit, int64_t* sums) {
+  // Unreachable through dispatch (QuantizedAvx2Available() is false); kept
+  // defined so the symbol exists on every platform.
   return BlockCodeSquaredL2Portable(block, q_pairs, w_pairs, pairs, limit,
                                     sums);
 }

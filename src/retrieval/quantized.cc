@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "retrieval/kernels.h"
 
 namespace neutraj::retrieval {
@@ -15,6 +17,18 @@ namespace {
 /// Scales below this are floored so a constant-zero dimension still has a
 /// well-defined (if useless) code and no division by zero.
 constexpr double kMinScale = 1e-12;
+
+/// Encodes `row` as row r of `block` and returns its error. `code` is
+/// scratch of q.dim() + 1 zeroed bytes, so an odd dim pads with a zero.
+double EncodeRow(const Int8Quantizer& q, const double* row, size_t r,
+                 int8_t* block, std::vector<int8_t>* code) {
+  const double error = q.EncodeWithError(row, code->data());
+  int8_t* at = block + BlockCodeOffset(r, 0);
+  for (size_t d = 0; d < q.dim(); d += 2) {
+    std::memcpy(at + d * kCodeBlockRows, code->data() + d, 2);
+  }
+  return error;
+}
 
 }  // namespace
 
@@ -46,7 +60,6 @@ Int8Quantizer Int8Quantizer::FromMaxAbs(const std::vector<double>& max_abs) {
   const size_t dim = max_abs.size();
   Int8Quantizer q;
   q.scales_.resize(dim);
-  q.weights_.resize(dim);
   q.bound_weights_.resize(dim);
   double s_max = kMinScale;
   for (size_t d = 0; d < dim; ++d) {
@@ -55,53 +68,15 @@ Int8Quantizer Int8Quantizer::FromMaxAbs(const std::vector<double>& max_abs) {
   }
   for (size_t d = 0; d < dim; ++d) {
     const double ratio = q.scales_[d] / s_max;
-    q.weights_[d] = std::max(
-        1, static_cast<int32_t>(std::lround(ratio * ratio * 256.0)));
     q.bound_weights_[d] =
         static_cast<int32_t>(std::floor(ratio * ratio * 128.0));
   }
-  q.proxy_to_l2_ = s_max * s_max / 256.0;
   q.bound_scale_ = s_max * s_max / 128.0;
   return q;
 }
 
-std::vector<int8_t> Int8Quantizer::Encode(const nn::Vector& v) const {
-  std::vector<int8_t> code;
-  code.reserve(dim());
-  EncodeAppend(v, &code);
-  return code;
-}
-
-void Int8Quantizer::EncodeAppend(const nn::Vector& v,
-                                 std::vector<int8_t>* out) const {
-  if (v.size() != dim()) {
-    throw std::invalid_argument(
-        "Int8Quantizer: vector dimension " + std::to_string(v.size()) +
-        " != quantizer dimension " + std::to_string(dim()));
-  }
-  const size_t at = out->size();
-  out->resize(at + dim());
-  QuantizeRow(v.data(), scales_.data(), dim(), out->data() + at);
-}
-
 double Int8Quantizer::EncodeWithError(const double* v, int8_t* code) const {
   return RoundedUpSqrt(QuantizeRow(v, scales_.data(), dim(), code));
-}
-
-void Int8Quantizer::EncodeBlocks(const std::vector<nn::Vector>& rows,
-                                 size_t begin, size_t end, int8_t* blocks,
-                                 double* errors) const {
-  const size_t dim = this->dim();
-  const size_t block_bytes = BlockBytes(dim);
-  std::vector<int8_t> code(dim + 1);  // Room for an odd dim's zero pad.
-  for (size_t i = begin; i < end; ++i) {
-    errors[i] = EncodeWithError(rows[i].data(), code.data());
-    int8_t* row = blocks + i / kCodeBlockRows * block_bytes +
-                  BlockCodeOffset(i % kCodeBlockRows, 0);
-    for (size_t d = 0; d < dim; d += 2) {
-      std::memcpy(row + d * kCodeBlockRows, code.data() + d, 2);
-    }
-  }
 }
 
 nn::Vector Int8Quantizer::Decode(const int8_t* code) const {
@@ -112,17 +87,57 @@ nn::Vector Int8Quantizer::Decode(const int8_t* code) const {
   return v;
 }
 
-int64_t Int8Quantizer::WeightedCodeAccum(const int8_t* a,
-                                         const int8_t* b) const {
-  return WeightedCodeSquaredL2(a, b, weights_.data(), dim());
-}
-
 double Int8Quantizer::SquaredErrorBound() const {
   double acc = 0.0;
   for (const double s : scales_) {
     acc += (s / 2.0) * (s / 2.0);
   }
   return acc;
+}
+
+CodeBlocks CodeBlocks::Encode(const Int8Quantizer& quantizer,
+                              const std::vector<nn::Vector>& rows,
+                              size_t threads) {
+  CodeBlocks c;
+  const size_t n = rows.size();
+  const size_t blocks = (n + kCodeBlockRows - 1) / kCodeBlockRows;
+  c.block_bytes_ = BlockBytes(quantizer.dim());
+  c.blocks_.resize(blocks * c.block_bytes_);
+  c.errors_.resize(n);
+  c.block_errors_.resize(blocks);
+  if (n == 0) return c;
+  // Parts of whole blocks, one per worker, so no two workers write a block.
+  const size_t parts = std::clamp<size_t>(threads, 1, blocks);
+  const size_t part_rows = (blocks + parts - 1) / parts * kCodeBlockRows;
+  ParallelFor(parts, threads, [&](size_t p) {
+    std::vector<int8_t> code(quantizer.dim() + 1);
+    for (size_t i = p * part_rows; i < std::min(n, (p + 1) * part_rows); ++i) {
+      const size_t b = i / kCodeBlockRows;
+      c.errors_[i] = EncodeRow(quantizer, rows[i].data(), i % kCodeBlockRows,
+                               c.blocks_.data() + b * c.block_bytes_, &code);
+      c.block_errors_[b] = std::max(c.block_errors_[b], c.errors_[i]);
+    }
+  });
+  return c;
+}
+
+void CodeBlocks::Append(const Int8Quantizer& quantizer, const nn::Vector& row) {
+  if (row.size() != quantizer.dim()) {
+    throw std::invalid_argument(
+        "CodeBlocks::Append: row dimension " + std::to_string(row.size()) +
+        " != quantizer dimension " + std::to_string(quantizer.dim()));
+  }
+  const size_t i = size();
+  if (i % kCodeBlockRows == 0) {
+    block_bytes_ = BlockBytes(quantizer.dim());
+    blocks_.resize(blocks_.size() + block_bytes_);
+    block_errors_.push_back(0.0);
+  }
+  std::vector<int8_t> code(quantizer.dim() + 1);
+  errors_.push_back(EncodeRow(quantizer, row.data(), i % kCodeBlockRows,
+                              blocks_.data() + blocks_.size() - block_bytes_,
+                              &code));
+  block_errors_.back() = std::max(block_errors_.back(), errors_.back());
 }
 
 }  // namespace neutraj::retrieval

@@ -1,11 +1,12 @@
-// Int8 symmetric quantization tier for cheap candidate scans.
+// Int8 symmetric quantization tier: the lower bound behind every TopK.
 //
 // The paper's online protocol ranks the corpus by embedding-space L2; at
 // millions of rows the double-precision scan is memory-bound (64 bytes per
-// row at d=8). This tier stores an 8x smaller int8 code per row and scans
-// candidates with an integer-only kernel, after which the top survivors are
-// re-ranked with the exact float distance — so quantization can only affect
-// WHICH candidates reach the re-rank, never the scores the caller sees.
+// row at d=8). This tier keeps an 8x smaller int8 code per row, and a scan
+// reads the codes first: they give each row a lower bound on its distance,
+// and only rows whose bound can still reach the top k get their exact
+// double distance. So quantization decides how many rows are scored, never
+// which rows are returned or the distances the caller sees.
 //
 // Scheme: symmetric per-dimension scalar quantization. Training scans a
 // corpus (or sample) for per-dimension max magnitudes m_d and fixes
@@ -15,19 +16,8 @@
 //
 // so decode(code)_d = s_d * code_d and the per-dimension reconstruction
 // error is at most s_d / 2 for in-range inputs (inputs beyond the trained
-// range clamp; live inserts therefore inherit the build-time range). The
-// scan distance is the integer form of the scale-weighted code L2:
-//
-//   w_d   = max(1, round((s_d / s_max)² · 256))         (integer weights)
-//   D(a,b) = Σ w_d (a_d - b_d)²                          (pure i32/i64)
-//   approx squared L2 ≈ D(a,b) · s_max² / 256
-//
-// which honors per-dimension scales while keeping the inner loop integer —
-// see kernels.h. Deterministic everywhere: same corpus → same scales →
-// same codes → same candidate ranking, on every machine and kernel.
-//
-// The exact TopK scan (core/embedding_db.h) uses the codes as a lower
-// bound instead of an estimate. With the floor weights
+// range clamp; live inserts therefore inherit the build-time range). With
+// the integer floor weights
 //
 //   w′_d = ⌊128 · (s_d / s_max)²⌋                        (may be 0)
 //
@@ -38,9 +28,15 @@
 //   ‖q − x‖ ≥ sqrt(c · Σ w′_d (q̂_d − x̂_d)²) − e_q − e_x,   c = s_max² / 128.
 //
 // The weights stop at 128 so that w′_d · (a_d − b_d) fits int16, which the
-// bound's kernel (kernels.h BlockCodeSquaredL2) multiplies in.
+// bound's kernel (kernels.h BlockCodeSquaredL2) multiplies in. A clamped
+// input has a large e_x, so its bound stays loose and correct.
+// Deterministic everywhere: same corpus → same scales → same codes → same
+// sums, on every machine and kernel.
 //
-// A clamped input has a large e_x, so its bound stays loose and correct.
+// CodeBlocks keeps the codes of a sequence of rows in the kernel's block
+// layout, with the errors the bound subtracts. The exact scan keeps one
+// beside the database's rows (core/embedding_db.h) and each IVF list keeps
+// one beside its ids (retrieval/ivf_index.h).
 
 #ifndef NEUTRAJ_RETRIEVAL_QUANTIZED_H_
 #define NEUTRAJ_RETRIEVAL_QUANTIZED_H_
@@ -52,7 +48,7 @@
 
 namespace neutraj::retrieval {
 
-/// Per-dimension symmetric int8 quantizer + its integer scan distance.
+/// Per-dimension symmetric int8 quantizer and its bound's weights.
 /// Immutable after Train(); safe to share across threads.
 class Int8Quantizer {
  public:
@@ -71,40 +67,12 @@ class Int8Quantizer {
   bool trained() const { return !scales_.empty(); }
   size_t dim() const { return scales_.size(); }
 
-  /// Quantizes one vector (dimension must match; throws otherwise).
-  std::vector<int8_t> Encode(const nn::Vector& v) const;
-
-  /// Appends the code of `v` to `out` (bulk storage without per-row
-  /// allocations; `out` grows by dim()).
-  void EncodeAppend(const nn::Vector& v, std::vector<int8_t>* out) const;
-
-  /// The lower-bound form of Encode for finite `v` (dim() values): writes
-  /// its dim() codes, equal to Encode's, to `code` and returns the
-  /// reconstruction error ‖v − Decode(code)‖, rounded up.
+  /// Quantizes finite `v` (dim() values): writes its dim() codes to `code`
+  /// and returns the reconstruction error ‖v − Decode(code)‖, rounded up.
   double EncodeWithError(const double* v, int8_t* code) const;
-
-  /// Bulk EncodeWithError into kernels.h's block layout: row i of `rows`,
-  /// for i in [begin, end), goes to block i / 8 of `blocks` at
-  /// BlockCodeOffset(i % 8, d), and its error to errors[i]. Rows must be
-  /// finite and of width dim().
-  void EncodeBlocks(const std::vector<nn::Vector>& rows, size_t begin,
-                    size_t end, int8_t* blocks, double* errors) const;
 
   /// Reconstruction: decode(code)_d = s_d * code_d.
   nn::Vector Decode(const int8_t* code) const;
-
-  /// Approximate squared L2 between two codes: the integer weighted kernel
-  /// mapped back to L2 units. Exceeds/undershoots the true squared L2 only
-  /// by quantization + weight-rounding error; ties in the integer
-  /// accumulator are exact, so rankings are deterministic.
-  double ApproxSquaredL2(const int8_t* a, const int8_t* b) const {
-    return proxy_to_l2_ *
-           static_cast<double>(WeightedCodeAccum(a, b));
-  }
-
-  /// The raw integer accumulator (exposed so callers can rank candidates in
-  /// exact integer arithmetic and defer the float mapping entirely).
-  int64_t WeightedCodeAccum(const int8_t* a, const int8_t* b) const;
 
   const std::vector<double>& scales() const { return scales_; }
 
@@ -118,11 +86,53 @@ class Int8Quantizer {
   double SquaredErrorBound() const;
 
  private:
-  std::vector<double> scales_;    ///< s_d.
-  std::vector<int32_t> weights_;  ///< w_d in [1, 256].
+  std::vector<double> scales_;          ///< s_d.
   std::vector<int32_t> bound_weights_;  ///< w′_d in [0, 128].
   double bound_scale_ = 0.0;            ///< s_max² / 128.
-  double proxy_to_l2_ = 0.0;      ///< s_max² / 256.
+};
+
+/// The codes of a sequence of rows in kernels.h's block layout: row i sits
+/// in block i / 8 at BlockCodeOffset(i % 8, d), beside its reconstruction
+/// error rounded up, and each block keeps its largest row error. Rows are
+/// only appended.
+class CodeBlocks {
+ public:
+  /// The codes of `rows` under `quantizer`, encoded over `threads` workers
+  /// (the same codes for every thread count). Rows must be finite and of
+  /// width quantizer.dim().
+  static CodeBlocks Encode(const Int8Quantizer& quantizer,
+                           const std::vector<nn::Vector>& rows,
+                           size_t threads = 1);
+
+  /// Appends the code of finite `row` under `quantizer`, the one every
+  /// other row was encoded with. Throws std::invalid_argument when the row
+  /// is not of width quantizer.dim().
+  void Append(const Int8Quantizer& quantizer, const nn::Vector& row);
+
+  /// Rows encoded.
+  size_t size() const { return errors_.size(); }
+
+  /// Block b: the codes of rows [8b, 8b + 8), zero past size().
+  const int8_t* block(size_t b) const {
+    return blocks_.data() + b * block_bytes_;
+  }
+  /// Row i's reconstruction error, rounded up.
+  double error(size_t i) const { return errors_[i]; }
+  /// The largest error of block b's rows.
+  double block_error(size_t b) const { return block_errors_[b]; }
+
+ private:
+  size_t block_bytes_ = 0;
+  std::vector<int8_t> blocks_;
+  std::vector<double> errors_;
+  std::vector<double> block_errors_;
+};
+
+/// Rows named by their corpus ids with their codes, in the same order: one
+/// IVF list. The ids need not ascend.
+struct CodeList {
+  std::vector<size_t> ids;
+  CodeBlocks codes;
 };
 
 }  // namespace neutraj::retrieval

@@ -335,7 +335,7 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       }
       // Mirror into the backend only after the row is in the primary (and
       // durable) corpus: a query racing this insert may briefly miss the
-      // row, but can never surface an id the database cannot re-rank.
+      // row, but can never surface an id the database cannot score.
       backend_->NotifyInsert(resp.id, embedding);
       // id+1, not db_->size(): a concurrent insert may land between the two
       // calls, and the reply should be a consistent snapshot of *this* op.

@@ -17,6 +17,7 @@
 #include "core/search.h"
 #include "core/similarity.h"
 #include "obs/metrics.h"
+#include "retrieval/quantized.h"
 #include "serve/protocol.h"
 #include "test_util.h"
 
@@ -291,8 +292,8 @@ TEST(LossTest, BackpropSkipsCoincidentEmbeddings) {
 }
 
 TEST(EmbeddingDatabaseTest, TopKBreaksDistanceTiesByAscendingId) {
-  // The ascending-id tie-break is a pinned API contract: the IVF re-rank
-  // (src/retrieval/) replicates it to stay bit-identical with this scan,
+  // The ascending-id tie-break is a pinned API contract: IVF's list scan
+  // (TopKOfLists) replicates it to stay bit-identical with this scan,
   // and the serving protocol's determinism guarantees lean on it. If this
   // test fails, those paths silently diverge.
   EmbeddingDatabase db;
@@ -317,6 +318,59 @@ TEST(EmbeddingDatabaseTest, TopKBreaksDistanceTiesByAscendingId) {
   const SearchResult of = db.TopKOf(query, {3, 4, 2, 0, 1}, 5);
   EXPECT_EQ(of.ids, r.ids);
   EXPECT_EQ(of.dists, r.dists);
+}
+
+TEST(EmbeddingDatabaseTest, TopKOfListsTakesIdsInAnyOrder) {
+  // IVF lists hold ids in the order rows were mirrored into the index, which
+  // need not ascend; the scan must still break ties by ascending id.
+  EmbeddingDatabase db;
+  const std::vector<nn::Vector> rows = {
+      {3.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}, {3.0, 0.0}, {0.0, 1.0}};
+  for (const nn::Vector& r : rows) db.Insert(r);
+  const auto quantizer = retrieval::Int8Quantizer::Train(rows);
+  retrieval::CodeList first, second;
+  for (const size_t id : {4, 2, 0}) {
+    first.ids.push_back(id);
+    first.codes.Append(quantizer, rows[id]);
+  }
+  for (const size_t id : {3, 1}) {
+    second.ids.push_back(id);
+    second.codes.Append(quantizer, rows[id]);
+  }
+  const nn::Vector query = {0.0, 0.0};
+  const SearchResult want = db.TopK(query, 5);
+  for (size_t k = 1; k <= 5; ++k) {
+    const SearchResult got =
+        db.TopKOfLists(query, k, -1, quantizer, {&first, &second});
+    EXPECT_EQ(got.ids, std::vector<size_t>(want.ids.begin(),
+                                           want.ids.begin() + k));
+    EXPECT_EQ(got.dists, std::vector<double>(want.dists.begin(),
+                                             want.dists.begin() + k));
+  }
+  EXPECT_EQ(db.TopKOfLists(query, 5, /*exclude=*/1, quantizer, {&second}).ids,
+            (std::vector<size_t>{3}));
+  retrieval::CodeList stray;
+  stray.ids.push_back(rows.size());
+  stray.codes.Append(quantizer, rows[0]);
+  EXPECT_THROW(db.TopKOfLists(query, 1, -1, quantizer, {&stray}),
+               std::out_of_range);
+}
+
+TEST(TopKHeapTest, OfferAnyOrderBreaksASqrtTieById) {
+  // Two squared distances one ulp apart can share a sqrt. OfferScanned
+  // drops the larger one unseen, which is right only when its id is the
+  // larger too; OfferAnyOrder lets it win the tie on a lower id.
+  double sq = 1.5;
+  while (std::sqrt(sq) != std::sqrt(std::nextafter(sq, 2.0))) {
+    sq = std::nextafter(sq, 2.0);
+  }
+  const double above = std::nextafter(sq, 2.0);
+  TopKHeap heap(1);
+  heap.OfferAnyOrder(sq, 7);
+  heap.OfferAnyOrder(above, 3);
+  const SearchResult r = heap.Take();
+  EXPECT_EQ(r.ids, (std::vector<size_t>{3}));
+  EXPECT_EQ(r.dists, (std::vector<double>{std::sqrt(above)}));
 }
 
 /// The algorithm the streaming scan replaced: every row's nn::L2Distance,

@@ -20,7 +20,6 @@
 #include "nn/attention.h"
 #include "nn/encoder.h"
 #include "nn/gru_cell.h"
-#include "nn/linear.h"
 #include "nn/memory_tensor.h"
 #include "nn/sam_cell.h"
 #include "test_util.h"
@@ -62,54 +61,6 @@ Grid TestGrid() {
   region.Extend(Point(0, 0));
   region.Extend(Point(1000, 1000));
   return Grid(region, 100.0);  // 10 x 10 cells.
-}
-
-TEST(GradCheckTest, LinearLayer) {
-  Rng rng(31);
-  Linear layer("lin", 4, 3);
-  layer.Initialize(&rng);
-  const Vector x = {0.3, -0.7, 1.2};
-  const Vector target = {0.1, 0.2, -0.3, 0.4};
-
-  auto loss_fn = [&]() {
-    Vector y;
-    layer.Forward(x, &y);
-    double l = 0.0;
-    for (size_t i = 0; i < y.size(); ++i) {
-      l += 0.5 * (y[i] - target[i]) * (y[i] - target[i]);
-    }
-    return l;
-  };
-
-  // Analytic pass.
-  Vector y;
-  layer.Forward(x, &y);
-  Vector dy(y.size());
-  for (size_t i = 0; i < y.size(); ++i) dy[i] = y[i] - target[i];
-  ZeroGrads(layer.Params());
-  Vector dx(3, 0.0);
-  layer.Backward(x, dy, &dx);
-  CheckParamGradients(layer.Params(), loss_fn);
-
-  // dx check: perturb the input.
-  const double eps = 1e-6;
-  Vector xx = x;
-  for (size_t k = 0; k < xx.size(); ++k) {
-    const double saved = xx[k];
-    auto eval = [&](double v) {
-      xx[k] = v;
-      Vector yy;
-      layer.Forward(xx, &yy);
-      double l = 0.0;
-      for (size_t i = 0; i < yy.size(); ++i) {
-        l += 0.5 * (yy[i] - target[i]) * (yy[i] - target[i]);
-      }
-      xx[k] = saved;
-      return l;
-    };
-    const double numeric = (eval(saved + eps) - eval(saved - eps)) / (2 * eps);
-    EXPECT_NEAR(dx[k], numeric, 1e-6) << "dx entry " << k;
-  }
 }
 
 TEST(GradCheckTest, AttentionRead) {
@@ -445,7 +396,7 @@ TEST_F(GradAuditTest, CoversEveryBackboneAndPath) {
   std::set<std::string> cases;
   for (const auto& r : records()) cases.insert(r.case_name);
   for (const char* expected :
-       {"linear/4x3", "attention/read", "attention/da_direct", "attention/k1",
+       {"attention/read", "attention/da_direct", "attention/k1",
         "attention/masked", "loss/similar", "loss/dissimilar", "loss/mse",
         "lstm/len7_h5", "lstm/len1", "lstm/len4_h3", "gru/len7_h5", "gru/len1",
         "sam_lstm/frozen_w1", "sam_lstm/w0", "sam_lstm/len1",

@@ -68,7 +68,6 @@ IvfIndex::Options ServerLikeOptions() {
   o.kmeans_iters = 4;
   o.seed = 42;
   o.default_nprobe = 4;
-  o.rerank = 24;
   return o;
 }
 
@@ -163,16 +162,16 @@ TEST(RetrievalRecoveryTest, RebuiltIvfMatchesFreshIndexAtEveryKillPoint) {
     ASSERT_EQ(rebuilt.index().nlist(), fresh.index().nlist());
     ASSERT_EQ(rebuilt.index().size(), fresh.index().size());
     for (const nn::Vector& q : queries) {
-      // The candidate stream (pre-re-rank) must already be identical …
-      const auto ca = rebuilt.index().Candidates(q, 5, 0);
-      const auto cb = fresh.index().Candidates(q, 5, 0);
-      ASSERT_EQ(ca.ids, cb.ids);
-      ASSERT_EQ(ca.scanned, cb.scanned);
-      // … and so must the served results, bit for bit.
-      const SearchResult a = rebuilt.TopK(q, 5, -1, 0);
-      const SearchResult b = fresh.TopK(q, 5, -1, 0);
-      ASSERT_EQ(a.ids, b.ids);
-      ASSERT_EQ(a.dists, b.dists);
+      // The probed lists must already be identical …
+      ASSERT_EQ(rebuilt.index().Probe(q, 0), fresh.index().Probe(q, 0));
+      // … and so must the served results, bit for bit, from one list to
+      // every list.
+      for (const size_t nprobe : {size_t{0}, size_t{1}, fresh.index().nlist()}) {
+        const SearchResult a = rebuilt.TopK(q, 5, -1, nprobe);
+        const SearchResult b = fresh.TopK(q, 5, -1, nprobe);
+        ASSERT_EQ(a.ids, b.ids);
+        ASSERT_EQ(a.dists, b.dists);
+      }
     }
   }
   ASSERT_GT(points_run, 30u);  // The sampling must not silently degenerate.

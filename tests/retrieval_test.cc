@@ -2,12 +2,13 @@
 // IVF ANN index, and the serve-layer backends.
 //
 // The load-bearing invariants pinned here:
-//   - the quantized kernel is exact integer math and matches a naive
-//     reference loop at every dimension (so SIMD variants cannot diverge);
+//   - the block kernel is exact integer math and matches a naive reference
+//     loop at every dimension (so SIMD variants cannot diverge);
 //   - the IVF build is deterministic across thread counts and rebuilds;
-//   - IVF results are exactly re-ranked: every returned distance is the
-//     exact float distance, and probing every cell reproduces the exact
-//     scan bit-for-bit — also after live inserts that raced queries.
+//   - IVF results are exact over the probed lists: every returned distance
+//     is the exact float distance, and probing every list reproduces the
+//     exact scan bit-for-bit — also after live inserts that raced queries
+//     and left a list's ids out of order.
 
 #include <algorithm>
 #include <cmath>
@@ -85,79 +86,6 @@ TEST(KernelsTest, ExactL2MatchesCoreDistanceBitwise) {
   }
 }
 
-TEST(KernelsTest, WeightedKernelMatchesNaiveReferenceAtEveryDim) {
-  Rng rng(12);
-  for (size_t dim = 1; dim <= 40; ++dim) {
-    std::vector<int8_t> a(dim), b(dim);
-    std::vector<int32_t> w(dim);
-    for (size_t d = 0; d < dim; ++d) {
-      a[d] = static_cast<int8_t>(rng.UniformInt(-127, 127));
-      b[d] = static_cast<int8_t>(rng.UniformInt(-127, 127));
-      w[d] = static_cast<int32_t>(rng.UniformInt(1, 256));
-    }
-    int64_t ref = 0;
-    for (size_t d = 0; d < dim; ++d) {
-      const int64_t diff = static_cast<int64_t>(a[d]) - b[d];
-      ref += static_cast<int64_t>(w[d]) * diff * diff;
-    }
-    EXPECT_EQ(WeightedCodeSquaredL2(a.data(), b.data(), w.data(), dim), ref)
-        << "dim " << dim << " kernel " << QuantizedKernelName();
-    int64_t plain = 0;
-    for (size_t d = 0; d < dim; ++d) {
-      const int64_t diff = static_cast<int64_t>(a[d]) - b[d];
-      plain += diff * diff;
-    }
-    EXPECT_EQ(CodeSquaredL2(a.data(), b.data(), dim), plain);
-  }
-}
-
-TEST(KernelsTest, ForcedPortableAndAvx2DispatchAreBitIdentical) {
-  // The runtime-dispatched AVX2 kernel (kernels_avx2.cc, cpuid-gated) must
-  // agree with the portable reference on every accumulator bit at every
-  // dim — including the masked tail lanes — so the kernel choice can never
-  // change which candidates survive to the exact re-rank. Forcing each
-  // implementation through SetQuantizedKernel runs both on one machine;
-  // on a CPU without AVX2 only the portable/auto agreement is pinned.
-  Rng rng(13);
-  for (size_t dim = 1; dim <= 70; ++dim) {
-    std::vector<int8_t> a(dim), b(dim);
-    std::vector<int32_t> w(dim);
-    for (size_t d = 0; d < dim; ++d) {
-      a[d] = static_cast<int8_t>(rng.UniformInt(-127, 127));
-      b[d] = static_cast<int8_t>(rng.UniformInt(-127, 127));
-      w[d] = static_cast<int32_t>(rng.UniformInt(1, 256));
-    }
-
-    SetQuantizedKernel(QuantizedKernel::kPortable);
-    const int64_t portable =
-        WeightedCodeSquaredL2(a.data(), b.data(), w.data(), dim);
-    EXPECT_EQ(std::string(QuantizedKernelName()), "portable");
-    EXPECT_EQ(portable,
-              internal::WeightedCodeSquaredL2Portable(a.data(), b.data(),
-                                                      w.data(), dim));
-
-    if (internal::QuantizedAvx2Available()) {
-      SetQuantizedKernel(QuantizedKernel::kAvx2);
-      EXPECT_EQ(std::string(QuantizedKernelName()), "avx2");
-      EXPECT_EQ(WeightedCodeSquaredL2(a.data(), b.data(), w.data(), dim),
-                portable)
-          << "dim " << dim;
-      EXPECT_EQ(internal::WeightedCodeSquaredL2Avx2(a.data(), b.data(),
-                                                    w.data(), dim),
-                portable)
-          << "dim " << dim;
-    } else {
-      EXPECT_THROW(SetQuantizedKernel(QuantizedKernel::kAvx2),
-                   std::runtime_error);
-    }
-
-    SetQuantizedKernel(QuantizedKernel::kAuto);
-    EXPECT_EQ(WeightedCodeSquaredL2(a.data(), b.data(), w.data(), dim),
-              portable)
-        << "dim " << dim;
-  }
-}
-
 /// A random block in BlockCodeOffset's layout, its query codes and weights
 /// packed in pairs, and the naive per-row sums.
 struct RandomBlock {
@@ -184,6 +112,47 @@ RandomBlock MakeBlock(size_t dim, Rng* rng) {
   b.q_pairs = PackDimensionPairs(q.data(), dim);
   b.w_pairs = PackDimensionPairs(w.data(), dim);
   return b;
+}
+
+TEST(KernelsTest, ForcedPortableAndAvx2DispatchAreBitIdentical) {
+  // The runtime-dispatched AVX2 kernel (kernels_avx2.cc, cpuid-gated) must
+  // agree with the portable reference on every sum at every dim — including
+  // an odd dim's padded pair — so the kernel choice can never change which
+  // rows get their exact distance. Forcing each implementation through
+  // SetQuantizedKernel runs both on one machine; on a CPU without AVX2 only
+  // the portable/auto agreement is pinned.
+  Rng rng(13);
+  const int64_t all = std::numeric_limits<int64_t>::max();
+  int64_t portable[kCodeBlockRows], sums[kCodeBlockRows];
+  for (size_t dim = 1; dim <= 70; ++dim) {
+    const RandomBlock b = MakeBlock(dim, &rng);
+    const auto run = [&](int64_t* out) {
+      return BlockCodeSquaredL2(b.block.data(), b.q_pairs.data(),
+                                b.w_pairs.data(), b.q_pairs.size(), all, out);
+    };
+
+    SetQuantizedKernel(QuantizedKernel::kPortable);
+    EXPECT_EQ(std::string(QuantizedKernelName()), "portable");
+    ASSERT_TRUE(run(portable));
+    EXPECT_TRUE(std::equal(portable, portable + kCodeBlockRows, b.sums))
+        << "dim " << dim;
+
+    if (internal::QuantizedAvx2Available()) {
+      SetQuantizedKernel(QuantizedKernel::kAvx2);
+      EXPECT_EQ(std::string(QuantizedKernelName()), "avx2");
+      ASSERT_TRUE(run(sums));
+      EXPECT_TRUE(std::equal(sums, sums + kCodeBlockRows, portable))
+          << "dim " << dim;
+    } else {
+      EXPECT_THROW(SetQuantizedKernel(QuantizedKernel::kAvx2),
+                   std::runtime_error);
+    }
+
+    SetQuantizedKernel(QuantizedKernel::kAuto);
+    ASSERT_TRUE(run(sums));
+    EXPECT_TRUE(std::equal(sums, sums + kCodeBlockRows, portable))
+        << "dim " << dim;
+  }
 }
 
 TEST(KernelsTest, BlockKernelsMatchTheNaiveSumsAndExitAlike) {
@@ -345,8 +314,9 @@ TEST(Int8QuantizerTest, RoundTripWithinPerDimensionBound) {
   const auto rows = GaussianRows(200, 21);
   const Int8Quantizer q = Int8Quantizer::Train(rows);
   ASSERT_EQ(q.dim(), kDim);
+  std::vector<int8_t> code(kDim);
   for (const nn::Vector& r : rows) {
-    const std::vector<int8_t> code = q.Encode(r);
+    q.EncodeWithError(r.data(), code.data());
     const nn::Vector back = q.Decode(code.data());
     double sq_err = 0.0;
     for (size_t d = 0; d < kDim; ++d) {
@@ -362,25 +332,9 @@ TEST(Int8QuantizerTest, OutOfRangeInputsClampToTheTrainedRange) {
   const auto rows = GaussianRows(50, 22);
   const Int8Quantizer q = Int8Quantizer::Train(rows);
   nn::Vector wild(kDim, 1e6);
-  const std::vector<int8_t> code = q.Encode(wild);
+  std::vector<int8_t> code(kDim);
+  q.EncodeWithError(wild.data(), code.data());
   for (size_t d = 0; d < kDim; ++d) EXPECT_EQ(code[d], 127);
-}
-
-TEST(Int8QuantizerTest, ProxyDistanceIsSymmetricZeroOnSelf) {
-  const auto rows = GaussianRows(64, 23);
-  const Int8Quantizer q = Int8Quantizer::Train(rows);
-  const auto a = q.Encode(rows[0]);
-  const auto b = q.Encode(rows[1]);
-  EXPECT_EQ(q.WeightedCodeAccum(a.data(), b.data()),
-            q.WeightedCodeAccum(b.data(), a.data()));
-  EXPECT_EQ(q.WeightedCodeAccum(a.data(), a.data()), 0);
-  EXPECT_GT(q.WeightedCodeAccum(a.data(), b.data()), 0);
-  // The mapped proxy approximates the true squared L2 to within the
-  // combined quantization + weight-rounding slack (loose sanity bound).
-  const double approx = q.ApproxSquaredL2(a.data(), b.data());
-  const double exact =
-      ExactSquaredL2(rows[0].data(), rows[1].data(), kDim);
-  EXPECT_NEAR(approx, exact, 0.5 * exact + 1.0);
 }
 
 TEST(Int8QuantizerTest, EncodeWithErrorMatchesEncodeAndBoundsTheError) {
@@ -400,7 +354,10 @@ TEST(Int8QuantizerTest, EncodeWithErrorMatchesEncodeAndBoundsTheError) {
   std::vector<int8_t> code(q.dim());
   for (const nn::Vector& v : sample) {
     const double error = q.EncodeWithError(v.data(), code.data());
-    EXPECT_EQ(code, q.Encode(v));
+    for (size_t d = 0; d < q.dim(); ++d) {
+      EXPECT_EQ(code[d], std::lround(std::clamp(v[d] / q.scales()[d], -127.0,
+                                                127.0)));
+    }
     const double exact = nn::L2Distance(v, q.Decode(code.data()));
     EXPECT_GE(error, exact);
     EXPECT_LE(error, exact * (1.0 + 1e-8) + 1e-300);
@@ -426,8 +383,10 @@ TEST(Int8QuantizerTest, BoundWeightsNeverOverstateTheDecodedDistance) {
     EXPECT_LE(w, 128);
   }
   EXPECT_EQ(q.bound_weights().back(), 0);
+  std::vector<int8_t> a(q.dim()), b(q.dim());
   for (size_t i = 0; i + 1 < rows.size(); i += 2) {
-    const std::vector<int8_t> a = q.Encode(rows[i]), b = q.Encode(rows[i + 1]);
+    q.EncodeWithError(rows[i].data(), a.data());
+    q.EncodeWithError(rows[i + 1].data(), b.data());
     int64_t sum = 0;
     for (size_t d = 0; d < q.dim(); ++d) {
       const int64_t diff = static_cast<int64_t>(a[d]) - b[d];
@@ -445,7 +404,8 @@ TEST(Int8QuantizerTest, RejectsEmptyAndRaggedSamples) {
   std::vector<nn::Vector> ragged = {nn::Vector(3, 1.0), nn::Vector(4, 1.0)};
   EXPECT_THROW(Int8Quantizer::Train(ragged), std::invalid_argument);
   const Int8Quantizer q = Int8Quantizer::Train({nn::Vector(3, 1.0)});
-  EXPECT_THROW(q.Encode(nn::Vector(5, 0.0)), std::invalid_argument);
+  CodeBlocks codes;
+  EXPECT_THROW(codes.Append(q, nn::Vector(5, 0.0)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,12 +442,12 @@ IvfIndex::Options SmallIvfOptions() {
   o.kmeans_iters = 6;
   o.seed = 7;
   o.default_nprobe = 6;
-  o.rerank = 32;
   return o;
 }
 
 TEST(IvfIndexTest, BuildIsDeterministicAcrossThreadCountsAndRebuilds) {
   const auto rows = ClusteredRows(1500, 12, 51);
+  const EmbeddingDatabase db = FlatDb(rows);
   IvfIndex a(SmallIvfOptions());
   IvfIndex b(SmallIvfOptions());
   a.Build(rows, /*threads=*/1);
@@ -499,50 +459,69 @@ TEST(IvfIndexTest, BuildIsDeterministicAcrossThreadCountsAndRebuilds) {
   const auto queries = GaussianRows(16, 52);
   for (const nn::Vector& q : queries) {
     for (size_t nprobe : {0u, 1u, 4u, 32u}) {
-      const auto ca = a.Candidates(q, 10, nprobe);
-      const auto cb = b.Candidates(q, 10, nprobe);
-      EXPECT_EQ(ca.ids, cb.ids);
-      EXPECT_EQ(ca.scanned, cb.scanned);
-      EXPECT_EQ(ca.probed, cb.probed);
+      const std::vector<size_t> la = a.Probe(q, nprobe);
+      EXPECT_EQ(la, b.Probe(q, nprobe));
+      size_t sa = 0, sb = 0;
+      const SearchResult ra = a.TopK(db, q, la, 10, -1, &sa);
+      const SearchResult rb = b.TopK(db, q, la, 10, -1, &sb);
+      EXPECT_EQ(ra.ids, rb.ids);
+      EXPECT_EQ(ra.dists, rb.dists);
+      EXPECT_EQ(sa, sb);
     }
   }
 }
 
 TEST(IvfIndexTest, FullProbeCoversTheWholeCorpus) {
   const auto rows = ClusteredRows(800, 8, 53);
+  const EmbeddingDatabase db = FlatDb(rows);
   IvfIndex index(SmallIvfOptions());
   index.Build(rows);
   const nn::Vector q = GaussianRows(1, 54)[0];
-  const auto c = index.Candidates(q, 5, /*nprobe=*/index.nlist());
-  EXPECT_EQ(c.probed, index.nlist());
-  EXPECT_EQ(c.scanned, rows.size());  // Every posting visited.
-  EXPECT_EQ(c.ids.size(), std::max<size_t>(5, SmallIvfOptions().rerank));
+  const std::vector<size_t> lists = index.Probe(q, /*nprobe=*/index.nlist());
+  EXPECT_EQ(lists.size(), index.nlist());
+  size_t scanned = 0;
+  const SearchResult got = index.TopK(db, q, lists, 5, -1, &scanned);
+  EXPECT_EQ(scanned, rows.size());  // Every row's list read.
+  const SearchResult want = db.TopK(q, 5);
+  EXPECT_EQ(got.ids, want.ids);
+  EXPECT_EQ(got.dists, want.dists);
+  // One list: the exact top-k of that list's rows.
+  const SearchResult one = index.TopK(db, q, {lists.front()}, 5);
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(lists.front(), index.Probe(db.at(one.ids[i]), 1).front());
+  }
 }
 
 TEST(IvfIndexTest, LiveInsertsAreSearchable) {
   auto rows = ClusteredRows(400, 6, 55);
+  EmbeddingDatabase db = FlatDb(rows);
   IvfIndex index(SmallIvfOptions());
   index.Build(rows);
   // Insert a distinctive new row and query right next to it.
   nn::Vector novel(kDim, 0.0);
   novel[0] = 2.5;
-  index.Insert(rows.size(), novel);
+  index.Insert(db.Insert(novel), novel);
   EXPECT_EQ(index.size(), rows.size() + 1);
-  const auto c = index.Candidates(novel, 1, index.nlist());
-  ASSERT_FALSE(c.ids.empty());
-  EXPECT_EQ(c.ids.front(), rows.size());
+  const SearchResult r =
+      index.TopK(db, novel, index.Probe(novel, index.nlist()), 1);
+  ASSERT_FALSE(r.ids.empty());
+  EXPECT_EQ(r.ids.front(), rows.size());
 }
 
 TEST(IvfIndexTest, ValidatesUsage) {
+  const EmbeddingDatabase db = FlatDb(GaussianRows(64, 56));
   IvfIndex index(SmallIvfOptions());
   EXPECT_THROW(index.Insert(0, nn::Vector(kDim, 0.0)), std::logic_error);
-  EXPECT_THROW(index.Candidates(nn::Vector(kDim, 0.0), 3), std::logic_error);
+  EXPECT_THROW(index.Probe(nn::Vector(kDim, 0.0), 3), std::logic_error);
+  EXPECT_THROW(index.TopK(db, nn::Vector(kDim, 0.0), {0}, 3),
+               std::logic_error);
   EXPECT_THROW(index.Build({}), std::invalid_argument);
   index.Build(GaussianRows(64, 56));
   EXPECT_THROW(index.Build(GaussianRows(64, 56)), std::logic_error);
   EXPECT_THROW(index.Insert(64, nn::Vector(3, 0.0)), std::invalid_argument);
-  EXPECT_THROW(index.Candidates(nn::Vector(3, 0.0), 3),
-               std::invalid_argument);
+  EXPECT_THROW(index.Probe(nn::Vector(3, 0.0), 3), std::invalid_argument);
+  EXPECT_THROW(index.TopK(db, nn::Vector(kDim, 0.0), {index.nlist()}, 3),
+               std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,9 +531,7 @@ TEST(BackendTest, IvfWithFullProbeIsBitIdenticalToExact) {
   const auto rows = ClusteredRows(900, 10, 61);
   const EmbeddingDatabase db = FlatDb(rows);
   ExactBackend exact(&db);
-  IvfIndex::Options opts = SmallIvfOptions();
-  opts.rerank = rows.size();  // Surface every scanned id.
-  IvfBackend ivf(&db, opts);
+  IvfBackend ivf(&db, SmallIvfOptions());
   ivf.Build();
 
   const auto queries = GaussianRows(12, 62);
@@ -576,8 +553,8 @@ TEST(BackendTest, IvfScoresAreExactRegardlessOfRecall) {
     const SearchResult r = ivf.TopK(q, 10, -1, 0);  // Default narrow probe.
     ASSERT_EQ(r.ids.size(), r.dists.size());
     for (size_t i = 0; i < r.ids.size(); ++i) {
-      // Every returned score is the exact float distance — the re-rank
-      // guarantee that makes quantization invisible in results.
+      // Every returned score is the exact float distance — the bound
+      // only decides which rows are scored, never their scores.
       EXPECT_EQ(r.dists[i], nn::L2Distance(db.at(r.ids[i]), q));
     }
     for (size_t i = 1; i < r.dists.size(); ++i) {
@@ -623,7 +600,7 @@ TEST(BackendTest, NotifyInsertKeepsIndexInSyncWithDatabase) {
 TEST(BackendTest, LiveInsertsRacingTopKKeepIdsDenseAndFullProbeExact) {
   // The serving write path under concurrency: each writer appends a row to
   // the primary database, then mirrors it into the IVF index, while TopK
-  // (probe + exact re-rank) runs against both. A race target for TSan via
+  // (probe + bounded scan) runs against both. A race target for TSan via
   // the `retrieval` label.
   constexpr size_t kSeedRows = 400;
   constexpr size_t kThreads = 4;
@@ -631,9 +608,7 @@ TEST(BackendTest, LiveInsertsRacingTopKKeepIdsDenseAndFullProbeExact) {
   const auto rows = ClusteredRows(kSeedRows + kThreads * kPerThread, 8, 67);
   EmbeddingDatabase db =
       FlatDb(std::vector<nn::Vector>(rows.begin(), rows.begin() + kSeedRows));
-  IvfIndex::Options opts = SmallIvfOptions();
-  opts.rerank = rows.size();  // Full probe then surfaces every row.
-  IvfBackend ivf(&db, opts);
+  IvfBackend ivf(&db, SmallIvfOptions());
   ivf.Build();
 
   // Each thread records the (id, row index) pairs the database assigned.
@@ -678,6 +653,81 @@ TEST(BackendTest, LiveInsertsRacingTopKKeepIdsDenseAndFullProbeExact) {
     EXPECT_EQ(got.ids, expected.ids);
     EXPECT_EQ(got.dists, expected.dists);
   }
+}
+
+TEST(BackendTest, DefaultIvfAtFullProbeMatchesExactAfterOutOfOrderInserts) {
+  // Default IvfIndex::Options. Integer coordinates make every distance
+  // exact, so rows in different lists tie at the k-th distance; duplicate
+  // rows tie inside a list; a quarter of the inserts fall past the trained
+  // range and clamp. Three threads take the serving write path (db.Insert,
+  // then NotifyInsert outside any lock), each mirroring its pair of rows in
+  // reverse, so the lists hold ids out of order.
+  constexpr size_t kSeedRows = 3000;
+  constexpr size_t kThreads = 3;
+  constexpr size_t kPairs = 150;
+  Rng rng(81);
+  const auto int_row = [&](int64_t range) {
+    nn::Vector r(kDim);
+    for (double& x : r) x = static_cast<double>(rng.UniformInt(-range, range));
+    return r;
+  };
+  std::vector<nn::Vector> seed(kSeedRows);
+  for (nn::Vector& r : seed) r = int_row(6);
+  EmbeddingDatabase db =
+      EmbeddingDatabase::Deserialize(FlatDb(seed).Serialize(), "test");
+  IvfBackend ivf(&db, IvfIndex::Options{});
+  ivf.Build();
+
+  std::vector<nn::Vector> inserts(kThreads * kPairs * 2);
+  for (size_t i = 0; i < inserts.size(); ++i) {
+    inserts[i] = i % 4 == 0   ? seed[rng.UniformInt(0, kSeedRows - 1)]
+                 : i % 4 == 1 ? int_row(18)
+                              : int_row(6);
+  }
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (size_t p = 0; p < kPairs; ++p) {
+        const nn::Vector& a = inserts[2 * (t * kPairs + p)];
+        const nn::Vector& b = inserts[2 * (t * kPairs + p) + 1];
+        const size_t id_a = db.Insert(a);
+        const size_t id_b = db.Insert(b);
+        ivf.NotifyInsert(id_b, b);
+        ivf.NotifyInsert(id_a, a);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  ASSERT_EQ(db.size(), kSeedRows + inserts.size());
+  ASSERT_EQ(ivf.index().size(), db.size());
+
+  const size_t nlist = ivf.index().nlist();
+  size_t ties = 0;
+  for (size_t i = 0; i < 200; ++i) {
+    nn::Vector q;
+    int64_t exclude = -1;
+    switch (i % 4) {
+      case 0: q = int_row(6); break;
+      case 1: q = int_row(18); break;  // Past the range: the query clamps.
+      case 2:  // A clamped inserted row, itself excluded.
+        exclude = static_cast<int64_t>(kSeedRows + 4 * (i % 150) + 1);
+        q = db.at(static_cast<size_t>(exclude));
+        break;
+      default:  // A seed row and a far-off exclude.
+        q = seed[i];
+        exclude = static_cast<int64_t>(db.size() + i);
+    }
+    const size_t k = i % 10 == 9 ? 1 : 10;
+    const SearchResult want = db.TopK(q, k + 1, exclude);
+    ties += want.size() == k + 1 && want.dists[k - 1] == want.dists[k];
+    const SearchResult got = ivf.TopK(q, k, exclude, nlist);
+    ASSERT_EQ(got.size(), k) << "query " << i;
+    for (size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(got.ids[j], want.ids[j]) << "query " << i << " rank " << j;
+      EXPECT_EQ(got.dists[j], want.dists[j]) << "query " << i << " rank " << j;
+    }
+  }
+  EXPECT_GT(ties, 20u) << "the data must tie at the k-th distance";
 }
 
 TEST(BackendTest, ExactHelpersRacingAnInserterMatchTheInlineScan) {

@@ -457,14 +457,13 @@ TEST_F(ServerTest, HugeKIsClampedNeverFatal) {
 }
 
 TEST_F(ServerTest, IvfBackedServiceServesBitIdenticalTopKAtFullProbe) {
-  // An IVF-backed service probing every cell must be indistinguishable on
-  // the wire from the exact service: the ANN layer is a prefilter plus an
-  // exact re-rank, never an approximation of the returned scores.
+  // An IVF-backed service probing every list must be indistinguishable on
+  // the wire from the exact service: the ANN layer only chooses which
+  // lists to read, never approximates the returned scores.
   retrieval::IvfIndex::Options opts;
   opts.nlist = 8;
   opts.train_sample = 64;
   opts.kmeans_iters = 4;
-  opts.rerank = db_.size();
   retrieval::IvfBackend backend(&db_, opts);
   backend.Build();
 
@@ -750,13 +749,13 @@ TEST_F(ServerTest, TracedTopKOverSocketBuildsTheFullSpanTree) {
   // The tentpole's end-to-end claim: a client-forced trace context on a
   // real-socket TopK against an IVF backend yields one span tree whose
   // stages cover the whole request path — batcher queue wait, encode on a
-  // batcher worker, IVF probe, exact re-rank, and the transport's reply
-  // write — with every span inside the request's total.
+  // batcher worker, IVF probe, the bounded scan of the probed lists (the
+  // "rerank" stage), and the transport's reply write — with every span
+  // inside the request's total.
   retrieval::IvfIndex::Options iopts;
   iopts.nlist = 4;
   iopts.train_sample = 64;
   iopts.kmeans_iters = 4;
-  iopts.rerank = db_.size();
   retrieval::IvfBackend backend(&db_, iopts);
   backend.Build();
   svc_.set_retrieval_backend(&backend);

@@ -34,11 +34,13 @@
 // --retrieval ivf answers TopK through an IVF ANN index (src/retrieval/):
 // built deterministically over the corpus after load/recovery (so a
 // restarted --data-dir server probes the exact same index a fresh build
-// would produce), probing --ivf-nprobe of --ivf-nlist cells and exactly
-// re-ranking the survivors — returned distances are bit-identical to
-// --retrieval exact; only recall is approximate. Clients can widen one
-// query's probe breadth with the request's nprobe knob. Requires a
-// non-empty corpus at startup; live inserts are indexed as they arrive.
+// would produce), probing --ivf-nprobe of --ivf-nlist lists and returning
+// the exact top-k of their rows, found with the exact scan's int8 bound —
+// returned distances are bit-identical to --retrieval exact, and probing
+// every list returns its exact answer; only recall is approximate. Clients
+// can widen one query's probe breadth with the request's nprobe knob.
+// Requires a non-empty corpus at startup; live inserts are indexed as they
+// arrive.
 //
 // --data-dir turns on durability: every Insert is written to a CRC-framed
 // write-ahead log before it is acknowledged, and the corpus is periodically
