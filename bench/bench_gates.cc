@@ -5,10 +5,13 @@
 // when any gate fails.
 //
 // Sections, in run order:
-//   1. kernels         blocked dense kernels against the textbook loops on
-//                      gate-shaped (4d x d) matrices. Timing only: that the
-//                      two agree is pinned by BlockedKernelTest
-//                      (tests/nn_matrix_test.cc), not checked here.
+//   1. kernels         the portable and AVX2 forms of every dispatched nn
+//                      kernel (common/simd_dispatch.h) on the SAM-LSTM
+//                      step's shapes at d = 32, and encode us/point at
+//                      d = 32 (a one-epoch trained and a random-init model)
+//                      under each. Gate: 0 outputs that differ in any bit
+//                      between the two forms. Timing only on a CPU without
+//                      AVX2.
 //   2. training        a 3-epoch training run and a corpus encode at 1, 2, 4
 //                      and 8 threads. Gate: the first epoch's loss is
 //                      identical at every thread count.
@@ -49,9 +52,9 @@
 //                      and for a one-epoch trained one. Reports us/query on
 //                      one core, q/s from 4 concurrent callers, the rows
 //                      given their exact distance (p50/p90/max) and the
-//                      prune rate, the index build time at 1 and 4 threads,
-//                      and a VpTree over the same rows; then the bounded
-//                      scan over section 7's 1M x 8 rows against its IVF.
+//                      prune rate and the index build time at 1 and 4
+//                      threads; then the bounded scan over section 7's
+//                      1M x 8 rows against its IVF.
 //                      Gates: bounded >= 2x every-row on one core (random-
 //                      init model), and 0 replies that differ in ids or
 //                      distance bits from EmbeddingTopK, inline or with
@@ -71,6 +74,7 @@
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <initializer_list>
 #include <stdexcept>
@@ -230,92 +234,6 @@ class JsonWriter {
 // ---------------------------------------------------------------------------
 // Sections 1-4: kernels, training and encode-path tracing.
 
-/// Pre-blocking reference kernels, kept here as the timing baseline.
-void NaiveMatVecAccum(const nn::Matrix& a, const nn::Vector& x,
-                      nn::Vector* y) {
-  for (size_t r = 0; r < a.rows(); ++r) {
-    double acc = 0.0;
-    const double* row = a.Row(r);
-    for (size_t c = 0; c < a.cols(); ++c) acc += row[c] * x[c];
-    (*y)[r] += acc;
-  }
-}
-
-void NaiveMatTVecAccum(const nn::Matrix& a, const nn::Vector& x,
-                       nn::Vector* y) {
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.Row(r);
-    for (size_t c = 0; c < a.cols(); ++c) (*y)[c] += row[c] * x[r];
-  }
-}
-
-void NaiveAddOuterProduct(nn::Matrix* a, const nn::Vector& u,
-                          const nn::Vector& v) {
-  for (size_t r = 0; r < a->rows(); ++r) {
-    double* row = a->Row(r);
-    for (size_t c = 0; c < a->cols(); ++c) row[c] += u[r] * v[c];
-  }
-}
-
-nn::Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
-  nn::Matrix m(rows, cols);
-  for (size_t i = 0; i < m.size(); ++i) m.data()[i] = rng->Gaussian(0, 1);
-  return m;
-}
-
-nn::Vector RandomVector(size_t n, Rng* rng) {
-  nn::Vector v(n);
-  for (double& x : v) x = rng->Gaussian(0, 1);
-  return v;
-}
-
-/// Times `reps` calls of each kernel of a pair, after one warm-up call each.
-template <typename NaiveFn, typename BlockedFn>
-void TimeKernel(JsonWriter& json, const char* name, size_t rows, size_t cols,
-                size_t reps, NaiveFn naive, BlockedFn blocked) {
-  naive();
-  blocked();
-  Stopwatch sw;
-  for (size_t i = 0; i < reps; ++i) naive();
-  const double naive_ns = sw.ElapsedSeconds() / static_cast<double>(reps) * 1e9;
-  sw.Restart();
-  for (size_t i = 0; i < reps; ++i) blocked();
-  const double blocked_ns = sw.ElapsedSeconds() / static_cast<double>(reps) * 1e9;
-  json.Object(nullptr, {{"kernel", name},
-                        {"rows", rows},
-                        {"cols", cols},
-                        {"naive_ns", naive_ns},
-                        {"blocked_ns", blocked_ns},
-                        {"speedup", naive_ns / blocked_ns}});
-}
-
-void BenchKernels(JsonWriter& json) {
-  Rng rng(1234);
-  json.Open("kernels", '[');
-  for (const size_t d : {32ul, 64ul, 128ul}) {
-    const size_t rows = 4 * d, cols = d;
-    const nn::Matrix a = RandomMatrix(rows, cols, &rng);
-    const nn::Vector x = RandomVector(cols, &rng);
-    const nn::Vector xr = RandomVector(rows, &rng);
-    nn::Vector y(rows), yt(cols);
-    nn::Matrix g(rows, cols);
-    const size_t reps = 2000000 / d;
-    TimeKernel(
-        json, "MatVecAccum", rows, cols, reps,
-        [&] { NaiveMatVecAccum(a, x, &y); },
-        [&] { nn::MatVecAccum(a, x, &y); });
-    TimeKernel(
-        json, "MatTVecAccum", rows, cols, reps,
-        [&] { NaiveMatTVecAccum(a, xr, &yt); },
-        [&] { nn::MatTVecAccum(a, xr, &yt); });
-    TimeKernel(
-        json, "AddOuterProduct", rows, cols, reps,
-        [&] { NaiveAddOuterProduct(&g, xr, x); },
-        [&] { nn::AddOuterProduct(&g, xr, x); });
-  }
-  json.Close();
-}
-
 /// A seeded Porto-like corpus, the exact Fréchet distances of its first
 /// trajectories (the seeds) and a 100 m grid over it: what a Trainer needs.
 struct TrainingSetup {
@@ -349,6 +267,163 @@ NeuTrajModel OneEpochModel(const TrainingSetup& setup) {
   Trainer trainer(cfg, setup.grid, setup.seeds, setup.dists);
   trainer.Train();
   return trainer.TakeModel();
+}
+
+nn::Vector RandomVector(size_t n, Rng* rng) {
+  nn::Vector v(n);
+  for (double& x : v) x = rng->Gaussian(0, 1);
+  return v;
+}
+
+/// True when the two vectors hold the same bits.
+bool SameBits(const nn::Vector& a, const nn::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The kernel forms section 1 times: portable, then AVX2 where it runs.
+std::vector<SimdKernel> KernelForms() {
+  std::vector<SimdKernel> forms = {SimdKernel::kPortable};
+  if (Avx2Available()) forms.push_back(SimdKernel::kAvx2);
+  return forms;
+}
+
+/// Times `reps` calls of `run` under each kernel form, after one warm-up
+/// call, and counts a mismatch when `out`, as the warm-up call of each form
+/// leaves it, differs in any bit between the forms. `run` starts from the
+/// same inputs every call.
+template <typename Run>
+void TimeKernel(JsonWriter& json, const char* name, size_t rows, size_t cols,
+                size_t reps, Run run, const nn::Vector& out,
+                size_t* mismatches) {
+  std::vector<double> ns;
+  std::vector<nn::Vector> outs;
+  for (const SimdKernel form : KernelForms()) {
+    SetSimdKernel(form);
+    run();
+    outs.push_back(out);
+    Stopwatch sw;
+    for (size_t i = 0; i < reps; ++i) run();
+    ns.push_back(sw.ElapsedSeconds() / static_cast<double>(reps) * 1e9);
+  }
+  SetSimdKernel(SimdKernel::kAuto);
+  if (outs.size() > 1 && !SameBits(outs[0], outs[1])) ++*mismatches;
+  const double avx2_ns = ns.size() > 1 ? ns[1] : NAN;
+  json.Object(nullptr, {{"kernel", name},
+                        {"rows", rows},
+                        {"cols", cols},
+                        {"portable_ns", ns[0]},
+                        {"avx2_ns", avx2_ns},
+                        {"speedup", ns[0] / avx2_ns}});
+}
+
+/// Section 1.
+void BenchKernels(JsonWriter& json, std::vector<Gate>& gates) {
+  constexpr size_t kDim = 32;
+  constexpr size_t kWindow = 25;  ///< (2w+1)^2 at scan width 2.
+  constexpr size_t kReps = 200000;
+  Rng rng(1234);
+  size_t mismatches = 0;
+  json.Open("kernels", '[');
+  // The step's MatVecs: stacked gates (recurrent and 2-wide input),
+  // candidate, attention fusion and attention logits; MatTVec: the
+  // attention mix and the backward pass's transposes. Each call restarts
+  // from y0 (a copy into the same storage, timed on both sides).
+  const std::pair<size_t, size_t> shapes[] = {
+      {4 * kDim, kDim}, {4 * kDim, 2}, {kDim, kDim}, {kDim, 2 * kDim},
+      {kWindow, kDim}};
+  for (const auto& [rows, cols] : shapes) {
+    nn::Matrix a(rows, cols);
+    a.values() = RandomVector(rows * cols, &rng);
+    const nn::Vector x = RandomVector(cols, &rng);
+    const nn::Vector xt = RandomVector(rows, &rng);
+    const nn::Vector y0 = RandomVector(rows, &rng);
+    const nn::Vector yt0 = RandomVector(cols, &rng);
+    nn::Vector y = y0, yt = yt0;
+    TimeKernel(
+        json, "MatVecAccum", rows, cols, kReps,
+        [&] {
+          y = y0;
+          nn::MatVecAccum(a, x, &y);
+        },
+        y, &mismatches);
+    TimeKernel(
+        json, "MatTVecAccum", rows, cols, kReps,
+        [&] {
+          yt = yt0;
+          nn::MatTVecAccum(a, xt, &yt);
+        },
+        yt, &mismatches);
+  }
+  // The step's activations: 4d sigmoids, d tanh, a window's softmax.
+  const nn::Vector gates_in = RandomVector(4 * kDim, &rng);
+  const nn::Vector logits = RandomVector(kWindow, &rng);
+  nn::Vector out(4 * kDim), soft = logits;
+  TimeKernel(
+      json, "ExpInto", 4 * kDim, 1, kReps,
+      [&] { nn::ExpInto(gates_in.data(), gates_in.size(), out.data()); }, out,
+      &mismatches);
+  TimeKernel(
+      json, "SigmoidInto", 4 * kDim, 1, kReps,
+      [&] { nn::SigmoidInto(gates_in.data(), gates_in.size(), out.data()); },
+      out, &mismatches);
+  TimeKernel(
+      json, "TanhInto", kDim, 1, kReps,
+      [&] { nn::TanhInto(gates_in.data(), kDim, out.data()); }, out,
+      &mismatches);
+  TimeKernel(
+      json, "SoftmaxInPlace", kWindow, 1, kReps,
+      [&] {
+        soft = logits;
+        nn::SoftmaxInPlace(&soft);
+      },
+      soft, &mismatches);
+  json.Close();
+
+  // Encode us/point at d = 32, one thread, under each form.
+  const TrainingSetup setup = MakeTrainingSetup(600, 4242, 60);
+  const NeuTrajModel trained = OneEpochModel(setup);
+  NeuTrajConfig cfg = NeuTrajConfig::NeuTraj();
+  cfg.embedding_dim = kDim;
+  NeuTrajModel random_init(cfg, setup.grid);
+  random_init.InitializeWeights(&rng);
+  const std::vector<Trajectory>& trajs = setup.data.trajectories;
+  size_t points = 0;
+  for (const Trajectory& t : trajs) points += t.size();
+  json.Open("encode", '[');
+  const std::pair<const char*, const NeuTrajModel*> models[] = {
+      {"trained", &trained}, {"random_init", &random_init}};
+  for (const auto& [name, model] : models) {
+    std::vector<double> us;
+    std::vector<std::vector<nn::Vector>> embeddings;
+    for (const SimdKernel form : KernelForms()) {
+      SetSimdKernel(form);
+      embeddings.push_back(model->EmbedAll(trajs));
+      const Pass best = BestOf(3, [&] {
+        Pass pass;
+        Stopwatch sw;
+        model->EmbedAll(trajs);
+        pass.seconds = sw.ElapsedSeconds();
+        return pass;
+      });
+      us.push_back(best.seconds / static_cast<double>(points) * 1e6);
+    }
+    SetSimdKernel(SimdKernel::kAuto);
+    for (size_t i = 0; embeddings.size() > 1 && i < trajs.size(); ++i) {
+      if (!SameBits(embeddings[0][i], embeddings[1][i])) ++mismatches;
+    }
+    const double avx2_us = us.size() > 1 ? us[1] : NAN;
+    json.Object(nullptr, {{"model", name},
+                          {"dim", kDim},
+                          {"trajectories", trajs.size()},
+                          {"points", points},
+                          {"portable_us_per_point", us[0]},
+                          {"avx2_us_per_point", avx2_us},
+                          {"speedup", us[0] / avx2_us}});
+  }
+  json.Close();
+  gates.push_back(AtMost("kernel_form_mismatches",
+                         static_cast<double>(mismatches), 0.0));
 }
 
 /// Section 2. Gates the largest distance of a first-epoch loss from the
@@ -948,11 +1023,9 @@ double TimeCallers(size_t queries, Query query) {
 }
 
 /// One model's half of section 9: embeds the corpus and queries with
-/// `model`, times every-row against bounded TopK (and a VpTree, on one core:
-/// its TopK records a visit count, so it is not safe to call concurrently),
-/// counts the rows the bound lets through, and adds the replies that differ
-/// from EmbeddingTopK to `*mismatches`. Returns the bounded scan's one-core
-/// speedup.
+/// `model`, times every-row against bounded TopK, counts the rows the bound
+/// lets through, and adds the replies that differ from EmbeddingTopK to
+/// `*mismatches`. Returns the bounded scan's one-core speedup.
 double BenchBoundedModel(JsonWriter& json, const char* key,
                          const NeuTrajModel& model,
                          const std::vector<Trajectory>& corpus,
@@ -996,14 +1069,6 @@ double BenchBoundedModel(JsonWriter& json, const char* key,
   const double bounded_us = TimeOneCore(queries.size(), bounded_query);
   const double plain_qps = TimeCallers(queries.size(), plain_query);
   const double bounded_qps = TimeCallers(queries.size(), bounded_query);
-  const VpTree tree(rows);
-  const double vptree_us = TimeOneCore(
-      queries.size(), [&](size_t i) { tree.TopK(queries[i], kSearchK); });
-  size_t visits = 0;
-  for (const nn::Vector& q : queries) {
-    tree.TopK(q, kSearchK);
-    visits += tree.last_visit_count();
-  }
   const double n = static_cast<double>(rows.size());
   const double nq = static_cast<double>(queries.size());
   json.Object(key, {{"plain_us_per_query", plain_us},
@@ -1017,9 +1082,7 @@ double BenchBoundedModel(JsonWriter& json, const char* key,
                     {"scored_rows_max", Quantile(per_query, 1.0)},
                     {"prune_rate", 1.0 - scored_sum / (nq * n)},
                     {"deserialize_ms_1_thread", load_1_ms},
-                    {"deserialize_ms_4_threads", load_4_ms},
-                    {"vptree_us_per_query", vptree_us},
-                    {"vptree_visits_mean", static_cast<double>(visits) / nq}});
+                    {"deserialize_ms_4_threads", load_4_ms}});
   return plain_us / bounded_us;
 }
 
@@ -1094,7 +1157,7 @@ int main() {
                {"int8_kernel", retrieval::QuantizedKernelName()}});
 
   std::vector<Gate> gates;
-  BenchKernels(json);
+  BenchKernels(json, gates);
   BenchTraining(json, gates);
   BenchEncodeSpan(json, gates);
   BenchBatcherTrace(json, gates);

@@ -72,8 +72,9 @@ TrainedModel TrainOrLoadModel(const NeuTrajConfig& cfg, const Grid& grid,
            << grid.region().max_x << ',' << grid.region().max_y << ','
            << grid.num_cols() << 'x' << grid.num_rows();
   // kArchVersion invalidates cached models when the cell/encoder
-  // architecture changes in ways the config does not capture.
-  constexpr int kArchVersion = 2;
+  // architecture or numerics change in ways the config does not capture
+  // (3: the SIMD kernels' accumulation order and exp).
+  constexpr int kArchVersion = 3;
   const std::string fingerprint =
       StrFormat("arch=%d|", kArchVersion) + cfg.Fingerprint() + "|" +
       grid_sig.str() + "|" + CorpusFingerprint(seeds);

@@ -30,6 +30,7 @@
 #include "cluster/dbscan.h"
 #include "cluster/metrics.h"
 #include "common/random.h"
+#include "common/simd_dispatch.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
@@ -57,7 +58,6 @@
 #include "index/frechet_lsh.h"
 #include "index/inverted_grid.h"
 #include "index/rtree.h"
-#include "index/vp_tree.h"
 #include "obs/flight_recorder.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"

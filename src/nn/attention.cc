@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -20,27 +21,23 @@ void AttentionForward(const Matrix& g, const Vector& q, AttentionTape* tape,
 
 void AttentionForwardPrefilled(AttentionTape* tape, const Vector& q,
                                const std::vector<char>* mask) {
+  NEUTRAJ_DCHECK_FINITE(q);
+  tape->all_masked = mask != nullptr &&
+                     std::none_of(mask->begin(), mask->end(),
+                                  [](char written) { return written != 0; });
+  if (tape->all_masked) {
+    tape->a.assign(mask->size(), 0.0);
+    tape->mix.assign(q.size(), 0.0);
+    return;
+  }
   const Matrix& g = tape->g;
   NEUTRAJ_DCHECK_MSG(g.cols() == q.size(), "attention query width mismatch");
   NEUTRAJ_DCHECK_MSG(mask == nullptr || mask->size() == g.rows(),
                      "attention mask must have one flag per window row");
-  NEUTRAJ_DCHECK_FINITE(q);
   MatVec(g, q, &tape->a);
-  tape->all_masked = false;
   if (mask != nullptr) {
-    bool any = false;
     for (size_t i = 0; i < tape->a.size(); ++i) {
-      if ((*mask)[i]) {
-        any = true;
-      } else {
-        tape->a[i] = kMaskedLogit;
-      }
-    }
-    if (!any) {
-      tape->all_masked = true;
-      tape->a.assign(tape->a.size(), 0.0);
-      tape->mix.assign(g.cols(), 0.0);
-      return;
+      if (!(*mask)[i]) tape->a[i] = kMaskedLogit;
     }
   }
   SoftmaxInPlace(&tape->a);

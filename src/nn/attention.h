@@ -33,7 +33,8 @@ void AttentionForward(const Matrix& g, const Vector& q, AttentionTape* tape,
 
 /// Hot-path variant: assumes `tape->g` has already been filled in place
 /// (e.g. gathered straight from the memory tensor), skipping the extra
-/// window copy that AttentionForward makes.
+/// window copy that AttentionForward makes. When every row is masked it
+/// reads neither `tape->g` nor `q`, so the gather may skip the copy.
 void AttentionForwardPrefilled(AttentionTape* tape, const Vector& q,
                                const std::vector<char>* mask);
 

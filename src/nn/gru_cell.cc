@@ -1,17 +1,9 @@
 #include "nn/gru_cell.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "nn/init.h"
 
 namespace neutraj::nn {
-
-namespace {
-
-inline double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-}  // namespace
 
 SamGruCell::SamGruCell(const std::string& name, size_t input_dim,
                        size_t hidden_dim)
@@ -79,11 +71,9 @@ void SamGruCell::Forward(const Vector& x, const Vector& h_prev,
   tape->r.resize(d);
   tape->z.resize(d);
   tape->s.resize(d);
-  for (size_t k = 0; k < d; ++k) {
-    tape->r[k] = Sigmoid(pre[k]);
-    tape->z[k] = Sigmoid(pre[d + k]);
-    tape->s[k] = Sigmoid(pre[2 * d + k]);
-  }
+  SigmoidInto(pre.data(), d, tape->r.data());
+  SigmoidInto(pre.data() + d, d, tape->z.data());
+  SigmoidInto(pre.data() + 2 * d, d, tape->s.data());
 
   tape->rh.resize(d);
   for (size_t k = 0; k < d; ++k) tape->rh[k] = tape->r[k] * h_prev[k];

@@ -1,17 +1,9 @@
 #include "nn/lstm_cell.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "nn/init.h"
 
 namespace neutraj::nn {
-
-namespace {
-
-inline double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-}  // namespace
 
 LstmCell::LstmCell(const std::string& name, size_t input_dim, size_t hidden_dim)
     : hidden_(hidden_dim),
@@ -58,20 +50,17 @@ void LstmCell::Forward(const Vector& x, const Vector& h_prev,
   tape->f.resize(d);
   tape->g.resize(d);
   tape->o.resize(d);
-  for (size_t k = 0; k < d; ++k) {
-    tape->i[k] = Sigmoid(pre[k]);
-    tape->f[k] = Sigmoid(pre[d + k]);
-    tape->g[k] = std::tanh(pre[2 * d + k]);
-    tape->o[k] = Sigmoid(pre[3 * d + k]);
-  }
+  SigmoidInto(pre.data(), d, tape->i.data());
+  SigmoidInto(pre.data() + d, d, tape->f.data());
+  TanhInto(pre.data() + 2 * d, d, tape->g.data());
+  SigmoidInto(pre.data() + 3 * d, d, tape->o.data());
   tape->c.resize(d);
-  tape->tanh_c.resize(d);
-  h->resize(d);
   for (size_t k = 0; k < d; ++k) {
     tape->c[k] = tape->f[k] * c_prev[k] + tape->i[k] * tape->g[k];
-    tape->tanh_c[k] = std::tanh(tape->c[k]);
-    (*h)[k] = tape->o[k] * tape->tanh_c[k];
   }
+  TanhInto(tape->c, &tape->tanh_c);
+  h->resize(d);
+  for (size_t k = 0; k < d; ++k) (*h)[k] = tape->o[k] * tape->tanh_c[k];
   *c = tape->c;
   NEUTRAJ_DCHECK_FINITE(*h);
   NEUTRAJ_DCHECK_FINITE(*c);

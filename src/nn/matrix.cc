@@ -1,7 +1,12 @@
 #include "nn/matrix.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "common/simd_dispatch.h"
+#include "nn/kernels.h"
 
 namespace neutraj::nn {
 
@@ -27,51 +32,10 @@ void MatVec(const Matrix& a, const Vector& x, Vector* y) {
   MatVecAccum(a, x, y);
 }
 
-// The three dense kernels below process four rows per pass with independent
-// accumulators. Without -ffast-math the compiler cannot reassociate the
-// naive one-accumulator dot product, so the serial dependency chain caps
-// throughput at one FMA per ~4 cycles; four chains keep the FPU pipelines
-// full and reuse each loaded x/v entry across four rows. The summation
-// order is fixed, so results are deterministic (but differ in low-order
-// bits from the single-accumulator kernels they replace).
 void MatVecAccum(const Matrix& a, const Vector& x, Vector* y) {
   CheckDim(a.cols() == x.size() && a.rows() == y->size(), "MatVecAccum");
-  const size_t rows = a.rows();
-  const size_t cols = a.cols();
-  const double* xp = x.data();
-  double* yp = y->data();
-  size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const double* r0 = a.Row(r);
-    const double* r1 = a.Row(r + 1);
-    const double* r2 = a.Row(r + 2);
-    const double* r3 = a.Row(r + 3);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t c = 0; c < cols; ++c) {
-      const double xc = xp[c];
-      s0 += r0[c] * xc;
-      s1 += r1[c] * xc;
-      s2 += r2[c] * xc;
-      s3 += r3[c] * xc;
-    }
-    yp[r] += s0;
-    yp[r + 1] += s1;
-    yp[r + 2] += s2;
-    yp[r + 3] += s3;
-  }
-  for (; r < rows; ++r) {
-    const double* row = a.Row(r);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    size_t c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      s0 += row[c] * xp[c];
-      s1 += row[c + 1] * xp[c + 1];
-      s2 += row[c + 2] * xp[c + 2];
-      s3 += row[c + 3] * xp[c + 3];
-    }
-    for (; c < cols; ++c) s0 += row[c] * xp[c];
-    yp[r] += (s0 + s1) + (s2 + s3);
-  }
+  (Avx2Active() ? internal::MatVecAccumAvx2 : internal::MatVecAccumPortable)(
+      a.data(), a.rows(), a.cols(), x.data(), y->data());
   NEUTRAJ_DCHECK_FINITE(*y);
 }
 
@@ -83,27 +47,8 @@ void MatTVec(const Matrix& a, const Vector& x, Vector* y) {
 
 void MatTVecAccum(const Matrix& a, const Vector& x, Vector* y) {
   CheckDim(a.rows() == x.size() && a.cols() == y->size(), "MatTVecAccum");
-  const size_t rows = a.rows();
-  const size_t cols = a.cols();
-  double* yp = y->data();
-  size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const double x0 = x[r], x1 = x[r + 1], x2 = x[r + 2], x3 = x[r + 3];
-    if (x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0) continue;
-    const double* r0 = a.Row(r);
-    const double* r1 = a.Row(r + 1);
-    const double* r2 = a.Row(r + 2);
-    const double* r3 = a.Row(r + 3);
-    for (size_t c = 0; c < cols; ++c) {
-      yp[c] += (x0 * r0[c] + x1 * r1[c]) + (x2 * r2[c] + x3 * r3[c]);
-    }
-  }
-  for (; r < rows; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    const double* row = a.Row(r);
-    for (size_t c = 0; c < cols; ++c) yp[c] += row[c] * xr;
-  }
+  (Avx2Active() ? internal::MatTVecAccumAvx2 : internal::MatTVecAccumPortable)(
+      a.data(), a.rows(), a.cols(), x.data(), y->data());
   NEUTRAJ_DCHECK_FINITE(*y);
 }
 
@@ -180,11 +125,10 @@ double L2Distance(const Vector& a, const Vector& b) {
 void SoftmaxInPlace(Vector* v) {
   if (v->empty()) return;
   const double m = *std::max_element(v->begin(), v->end());
+  for (double& x : *v) x -= m;
+  ExpInto(v->data(), v->size(), v->data());
   double total = 0.0;
-  for (double& x : *v) {
-    x = std::exp(x - m);
-    total += x;
-  }
+  for (const double x : *v) total += x;
   NEUTRAJ_DCHECK_MSG(check_internal::FiniteChecksSuspended() ||
                          (total > 0.0 && std::isfinite(total)),
                      "softmax normalizer must be positive and finite");
@@ -192,14 +136,103 @@ void SoftmaxInPlace(Vector* v) {
   NEUTRAJ_DCHECK_FINITE(*v);
 }
 
+void ExpInto(const double* x, size_t n, double* out) {
+  (Avx2Active() ? internal::ExpAvx2 : internal::ExpPortable)(x, n, out);
+}
+
+void SigmoidInto(const double* x, size_t n, double* out) {
+  (Avx2Active() ? internal::SigmoidAvx2 : internal::SigmoidPortable)(x, n, out);
+}
+
+void TanhInto(const double* x, size_t n, double* out) {
+  (Avx2Active() ? internal::TanhAvx2 : internal::TanhPortable)(x, n, out);
+}
+
 void SigmoidInto(const Vector& x, Vector* out) {
   out->resize(x.size());
-  for (size_t i = 0; i < x.size(); ++i) (*out)[i] = 1.0 / (1.0 + std::exp(-x[i]));
+  SigmoidInto(x.data(), x.size(), out->data());
 }
 
 void TanhInto(const Vector& x, Vector* out) {
   out->resize(x.size());
-  for (size_t i = 0; i < x.size(); ++i) (*out)[i] = std::tanh(x[i]);
+  TanhInto(x.data(), x.size(), out->data());
 }
+
+// ---- Portable forms of the dispatched kernels (see nn/kernels.h) -----------
+
+namespace internal {
+
+void MatVecAccumPortable(const double* a, size_t rows, size_t cols,
+                         const double* x, double* y) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* row = a + r * cols;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      s0 += row[c] * x[c];
+      s1 += row[c + 1] * x[c + 1];
+      s2 += row[c + 2] * x[c + 2];
+      s3 += row[c + 3] * x[c + 3];
+    }
+    for (; c < cols; ++c) s0 += row[c] * x[c];
+    y[r] += (s0 + s1) + (s2 + s3);
+  }
+}
+
+void MatTVecAccumPortable(const double* a, size_t rows, size_t cols,
+                          const double* x, double* y) {
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double x0 = x[r], x1 = x[r + 1], x2 = x[r + 2], x3 = x[r + 3];
+    if (x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0) continue;
+    const double* r0 = a + r * cols;
+    const double* r1 = r0 + cols;
+    const double* r2 = r1 + cols;
+    const double* r3 = r2 + cols;
+    for (size_t c = 0; c < cols; ++c) {
+      y[c] += (x0 * r0[c] + x1 * r1[c]) + (x2 * r2[c] + x3 * r3[c]);
+    }
+  }
+  for (; r < rows; ++r) {
+    const double xr = x[r];
+    if (xr == 0.0) continue;
+    const double* row = a + r * cols;
+    for (size_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
+  }
+}
+
+namespace {
+
+double Exp(double in) {
+  // Clamps as _mm256_max_pd(lo, in) and _mm256_min_pd(hi, x) do: a NaN
+  // input passes through both.
+  double x = kExpMin > in ? kExpMin : in;
+  x = kExpMax < x ? kExpMax : x;
+  const double t = x * kLog2e + kRoundMagic;
+  const double k = t - kRoundMagic;
+  const double r = (x - k * kLn2Hi) - k * kLn2Lo;
+  double p = kExpPoly[kExpDegree];
+  for (size_t i = kExpDegree; i-- > 0;) p = p * r + kExpPoly[i];
+  const uint64_t k_bits =
+      std::bit_cast<uint64_t>(t) - std::bit_cast<uint64_t>(kRoundMagic);
+  const double scale = std::bit_cast<double>((k_bits + 1023) << 52);
+  return in < kExpMin ? 0.0 : p * scale;
+}
+
+}  // namespace
+
+void ExpPortable(const double* x, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = Exp(x[i]);
+}
+
+void SigmoidPortable(const double* x, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = 1.0 / (1.0 + Exp(-x[i]));
+}
+
+void TanhPortable(const double* x, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = 1.0 - 2.0 / (Exp(x[i] + x[i]) + 1.0);
+}
+
+}  // namespace internal
 
 }  // namespace neutraj::nn

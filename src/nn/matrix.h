@@ -1,10 +1,14 @@
 // Dense matrix/vector kernels for the hand-written neural substrate.
 //
 // The library deliberately avoids external BLAS/ML dependencies: all
-// embedding models in this repo train on modest CPU-scale corpora, and the
-// simple row-major kernels below auto-vectorize well under -O3. We use
-// double precision so the backward passes can be validated against central
-// finite differences to tight tolerances.
+// embedding models in this repo train on modest CPU-scale corpora. The
+// recurrent step's hot kernels — MatVecAccum, MatTVecAccum and the exp
+// behind SigmoidInto, TanhInto and SoftmaxInPlace — have a portable and an
+// AVX2 form chosen at runtime (nn/kernels.h, common/simd_dispatch.h) that
+// agree bit for bit, so training and serving run one numerics on every
+// machine. The rest are plain loops. We use double precision so the
+// backward passes can be validated against central finite differences to
+// tight tolerances.
 
 #ifndef NEUTRAJ_NN_MATRIX_H_
 #define NEUTRAJ_NN_MATRIX_H_
@@ -106,10 +110,20 @@ double L2Norm(const Vector& v);
 /// Euclidean distance between two equal-length vectors.
 double L2Distance(const Vector& a, const Vector& b);
 
-/// In-place numerically-stable softmax.
+/// In-place numerically-stable softmax: exp(v_i − max v) through ExpInto,
+/// normalized by their left-to-right sum. A −inf entry gets weight 0.
 void SoftmaxInPlace(Vector* v);
 
-/// Elementwise sigmoid / tanh applied out-of-place.
+/// out[i] = exp(x[i]) for i < n, the one exp of the nn activations (see
+/// nn/kernels.h for its reduction and range); `out` may equal `x`.
+void ExpInto(const double* x, size_t n, double* out);
+
+/// Elementwise sigmoid 1 / (1 + exp(−x)) and tanh 1 − 2 / (exp(2x) + 1)
+/// over n entries through ExpInto; `out` may equal `x`.
+void SigmoidInto(const double* x, size_t n, double* out);
+void TanhInto(const double* x, size_t n, double* out);
+
+/// The same, resizing `out` to x.size().
 void SigmoidInto(const Vector& x, Vector* out);
 void TanhInto(const Vector& x, Vector* out);
 

@@ -17,15 +17,21 @@ MemoryTensor::MemoryTensor(int32_t num_cols, int32_t num_rows, size_t d)
 
 void MemoryTensor::GatherWindow(const std::vector<GridCell>& cells, Matrix* out,
                                 std::vector<char>* written_mask) const {
+  if (written_mask != nullptr) {
+    written_mask->resize(cells.size());
+    bool any = false;
+    for (size_t i = 0; i < cells.size(); ++i) {
+      const char flag = written_[Offset(cells[i]) / dim_];
+      (*written_mask)[i] = flag;
+      any = any || flag != 0;
+    }
+    if (!any) return;
+  }
   if (out->rows() != cells.size() || out->cols() != dim_) {
     *out = Matrix(cells.size(), dim_);
   }
-  if (written_mask != nullptr) written_mask->resize(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     std::memcpy(out->Row(i), Slice(cells[i]), dim_ * sizeof(double));
-    if (written_mask != nullptr) {
-      (*written_mask)[i] = written_[Offset(cells[i]) / dim_];
-    }
   }
 }
 

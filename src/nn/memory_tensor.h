@@ -39,7 +39,9 @@ class MemoryTensor {
   /// Copies the scan-window cell embeddings into a (window_size x d) matrix.
   /// `cells` come from Grid::ScanWindow. If `written_mask` is non-null it is
   /// filled with one flag per row: whether that cell has ever been written
-  /// (never-written cells hold zeros and should be masked out of attention).
+  /// (never-written cells hold zeros and should be masked out of attention);
+  /// when no flag is set, `out` is left untouched, since an all-masked read
+  /// never looks at it.
   void GatherWindow(const std::vector<GridCell>& cells, Matrix* out,
                     std::vector<char>* written_mask = nullptr) const;
 

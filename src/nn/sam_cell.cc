@@ -1,17 +1,9 @@
 #include "nn/sam_cell.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "nn/init.h"
 
 namespace neutraj::nn {
-
-namespace {
-
-inline double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-}  // namespace
 
 SamLstmCell::SamLstmCell(const std::string& name, size_t input_dim,
                          size_t hidden_dim)
@@ -90,12 +82,10 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
   tape->i.resize(d);
   tape->s.resize(d);
   tape->o.resize(d);
-  for (size_t k = 0; k < d; ++k) {
-    tape->f[k] = Sigmoid(pre[k]);
-    tape->i[k] = Sigmoid(pre[d + k]);
-    tape->s[k] = Sigmoid(pre[2 * d + k]);
-    tape->o[k] = Sigmoid(pre[3 * d + k]);
-  }
+  SigmoidInto(pre.data(), d, tape->f.data());
+  SigmoidInto(pre.data() + d, d, tape->i.data());
+  SigmoidInto(pre.data() + 2 * d, d, tape->s.data());
+  SigmoidInto(pre.data() + 3 * d, d, tape->o.data());
 
   // Candidate (Eq. 2).
   Vector& cand_pre = w->cand_pre;
@@ -111,50 +101,33 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
     tape->c_hat[k] = tape->f[k] * c_prev[k] + tape->i[k] * tape->c_tilde[k];
   }
 
-  tape->used_memory = use_memory;
-  tape->c.resize(d);
+  tape->used_memory = false;
+  tape->c = tape->c_hat;
   if (use_memory) {
     // Attention read (Sec. IV-C-1): G_t is gathered straight into the tape
     // snapshot. Never-written cells are masked out of the softmax; if the
-    // whole window is unvisited the step degenerates to a plain LSTM step.
+    // whole window is unvisited the step degenerates to a plain LSTM step
+    // (and the window is neither copied nor scored).
     std::vector<char>& mask = w->mask;
     memory->GatherWindow(window_cells, &tape->att.g, &mask);
     AttentionForwardPrefilled(&tape->att, tape->c_hat, &mask);
-    if (tape->att.all_masked) {
-      tape->used_memory = false;
-      tape->c = tape->c_hat;
-      if (update_memory) {
-        if (write_log != nullptr) {
-          write_log->push_back({center, tape->s, tape->c});
-        } else {
-          memory->BlendWrite(center, tape->s, tape->c);
-        }
-      }
-      tape->tanh_c.resize(d);
-      h->resize(d);
+    if (!tape->att.all_masked) {
+      tape->used_memory = true;
+      Vector& ccat = w->ccat;
+      ccat.resize(2 * d);
       for (size_t k = 0; k < d; ++k) {
-        tape->tanh_c[k] = std::tanh(tape->c[k]);
-        (*h)[k] = tape->o[k] * tape->tanh_c[k];
+        ccat[k] = tape->c_hat[k];
+        ccat[d + k] = tape->att.mix[k];
       }
-      *c = tape->c;
-      NEUTRAJ_DCHECK_FINITE(*h);
-      NEUTRAJ_DCHECK_FINITE(*c);
-      return;
-    }
-    Vector& ccat = w->ccat;
-    ccat.resize(2 * d);
-    for (size_t k = 0; k < d; ++k) {
-      ccat[k] = tape->c_hat[k];
-      ccat[d + k] = tape->att.mix[k];
-    }
-    Vector& his_pre = w->his_pre;
-    his_pre.resize(d);
-    for (size_t k = 0; k < d; ++k) his_pre[k] = bhis_.value(k, 0);
-    MatVecAccum(whis_.value, ccat, &his_pre);
-    TanhInto(his_pre, &tape->c_his);
-    // Final cell state (Eq. 4).
-    for (size_t k = 0; k < d; ++k) {
-      tape->c[k] = tape->c_hat[k] + tape->s[k] * tape->c_his[k];
+      Vector& his_pre = w->his_pre;
+      his_pre.resize(d);
+      for (size_t k = 0; k < d; ++k) his_pre[k] = bhis_.value(k, 0);
+      MatVecAccum(whis_.value, ccat, &his_pre);
+      TanhInto(his_pre, &tape->c_his);
+      // Final cell state (Eq. 4).
+      for (size_t k = 0; k < d; ++k) {
+        tape->c[k] = tape->c_hat[k] + tape->s[k] * tape->c_his[k];
+      }
     }
     // Memory write (Eq. 5) — persistent-state update, no gradient. Deferred
     // into the log when one is supplied, applied in place otherwise.
@@ -165,17 +138,12 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
         memory->BlendWrite(center, tape->s, tape->c);
       }
     }
-  } else {
-    tape->c = tape->c_hat;
   }
 
   // Output (Eq. 6).
-  tape->tanh_c.resize(d);
+  TanhInto(tape->c, &tape->tanh_c);
   h->resize(d);
-  for (size_t k = 0; k < d; ++k) {
-    tape->tanh_c[k] = std::tanh(tape->c[k]);
-    (*h)[k] = tape->o[k] * tape->tanh_c[k];
-  }
+  for (size_t k = 0; k < d; ++k) (*h)[k] = tape->o[k] * tape->tanh_c[k];
   *c = tape->c;
   NEUTRAJ_DCHECK_FINITE(*h);
   NEUTRAJ_DCHECK_FINITE(*c);

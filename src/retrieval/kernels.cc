@@ -1,9 +1,9 @@
 #include "retrieval/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <stdexcept>
+
+#include "common/simd_dispatch.h"
 
 namespace neutraj::retrieval {
 
@@ -76,59 +76,7 @@ bool BlockCodeSquaredL2Portable(const int8_t* block, const int32_t* q_pairs,
   return !AllExceed(sums, limit);
 }
 
-bool QuantizedAvx2Available() {
-#if defined(__x86_64__) || defined(__i386__)
-  return QuantizedAvx2CompiledIn() && __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 }  // namespace internal
-
-namespace {
-
-using BlockFn = bool (*)(const int8_t*, const int32_t*, const int32_t*,
-                        size_t, int64_t, int64_t*);
-
-/// The dispatch slot. Null until first use; resolved lazily (not at static
-/// init) so SetQuantizedKernel in a test harness and the cpuid probe cannot
-/// race static construction order.
-std::atomic<BlockFn> g_block{nullptr};
-
-void Select(bool avx2) {
-  g_block.store(avx2 ? &internal::BlockCodeSquaredL2Avx2
-                     : &internal::BlockCodeSquaredL2Portable,
-                std::memory_order_relaxed);
-}
-
-/// Resolves the slot on first use.
-BlockFn ActiveBlock() {
-  if (g_block.load(std::memory_order_relaxed) == nullptr) {
-    Select(internal::QuantizedAvx2Available());
-  }
-  return g_block.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void SetQuantizedKernel(QuantizedKernel choice) {
-  switch (choice) {
-    case QuantizedKernel::kAuto:
-      Select(internal::QuantizedAvx2Available());
-      return;
-    case QuantizedKernel::kPortable:
-      Select(false);
-      return;
-    case QuantizedKernel::kAvx2:
-      if (!internal::QuantizedAvx2Available()) {
-        throw std::runtime_error(
-            "SetQuantizedKernel: AVX2 kernel unavailable on this machine");
-      }
-      Select(true);
-      return;
-  }
-}
 
 double QuantizeRow(const double* v, const double* scales, size_t dim,
                    int8_t* code) {
@@ -153,12 +101,14 @@ double QuantizeRow(const double* v, const double* scales, size_t dim,
 bool BlockCodeSquaredL2(const int8_t* block, const int32_t* q_pairs,
                         const int32_t* w_pairs, size_t pairs, int64_t limit,
                         int64_t* sums) {
-  return ActiveBlock()(block, q_pairs, w_pairs, pairs, limit, sums);
+  return Avx2Active() ? internal::BlockCodeSquaredL2Avx2(block, q_pairs, w_pairs,
+                                                        pairs, limit, sums)
+                      : internal::BlockCodeSquaredL2Portable(
+                            block, q_pairs, w_pairs, pairs, limit, sums);
 }
 
 const char* QuantizedKernelName() {
-  return ActiveBlock() == &internal::BlockCodeSquaredL2Avx2 ? "avx2"
-                                                           : "portable";
+  return Avx2Active() ? "avx2" : "portable";
 }
 
 }  // namespace neutraj::retrieval

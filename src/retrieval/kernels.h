@@ -16,9 +16,8 @@
 //     blocks it lets through, are bit-identical between the AVX2 and
 //     portable implementations. The AVX2 path is RUNTIME-dispatched: its
 //     translation unit (kernels_avx2.cc) is compiled with -mavx2 whenever
-//     the toolchain supports the flag on x86, and engages only when cpuid
-//     reports AVX2 — so CI builds and tests it on any x86 runner instead of
-//     depending on a compile-time -mavx2 gate nobody sets.
+//     the toolchain supports the flag on x86, and engages only when the
+//     process-wide decision of common/simd_dispatch.h selects AVX2.
 
 #ifndef NEUTRAJ_RETRIEVAL_KERNELS_H_
 #define NEUTRAJ_RETRIEVAL_KERNELS_H_
@@ -95,29 +94,16 @@ bool BlockCodeSquaredL2(const int8_t* block, const int32_t* q_pairs,
 
 /// Name of the active quantized-kernel implementation ("avx2" or
 /// "portable") — surfaced in benchmarks so results name their kernel.
-/// Reflects the runtime dispatch decision (cpuid) and any SetQuantizedKernel
-/// override.
+/// Reflects the process-wide dispatch decision (common/simd_dispatch.h:
+/// cpuid, or a SetSimdKernel override).
 const char* QuantizedKernelName();
-
-/// Quantized-kernel selection for tests and benches. kAuto (the startup
-/// state) dispatches on cpuid; kPortable / kAvx2 pin one implementation of
-/// BlockCodeSquaredL2, so the bit-identity tests can run both on the same
-/// machine and a bench can name which kernel it measured.
-enum class QuantizedKernel { kAuto, kPortable, kAvx2 };
-
-/// Overrides the dispatch. Throws std::runtime_error for kAvx2 when the
-/// AVX2 kernel is unavailable (not compiled in, or cpuid says no). Not
-/// thread-safe against concurrent scans — a test/bench knob, not a serving
-/// one.
-void SetQuantizedKernel(QuantizedKernel choice);
 
 namespace internal {
 
 /// The two forms of BlockCodeSquaredL2. The portable one is always
 /// available and is the bit-identity baseline; call the AVX2 one
-/// (kernels_avx2.cc, compiled with -mavx2) only when
-/// QuantizedAvx2Available(): on builds without the AVX2 TU it falls back to
-/// the portable kernel.
+/// (kernels_avx2.cc, compiled with -mavx2) only when Avx2Available(): on
+/// builds without the AVX2 TU it falls back to the portable kernel.
 bool BlockCodeSquaredL2Portable(const int8_t* block, const int32_t* q_pairs,
                                 const int32_t* w_pairs, size_t pairs,
                                 int64_t limit, int64_t* sums);
@@ -127,14 +113,6 @@ bool BlockCodeSquaredL2Avx2(const int8_t* block, const int32_t* q_pairs,
 
 /// Most dimension pairs one i32 run of BlockCodeSquaredL2 may cover.
 inline constexpr size_t kBlockRunPairs = 128;
-
-/// True when the AVX2 translation unit was compiled with AVX2 enabled
-/// (irrespective of what the current CPU supports).
-bool QuantizedAvx2CompiledIn();
-
-/// True when the AVX2 kernel is both compiled in and supported by the
-/// running CPU (cpuid) — the runtime dispatch predicate.
-bool QuantizedAvx2Available();
 
 }  // namespace internal
 

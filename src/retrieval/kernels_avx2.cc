@@ -1,14 +1,14 @@
 // The AVX2 form of the block kernel, isolated in its own translation unit so
 // the build can compile exactly this file with -mavx2 (see src/CMakeLists)
 // while the rest of the tree keeps the baseline ISA. Callers never reach
-// the Avx2 entry point directly — dispatch in kernels.cc checks
-// QuantizedAvx2Available() (compiled-in AND cpuid) first, so a binary built
+// the Avx2 entry point directly — dispatch in kernels.cc checks Avx2Active()
+// (common/simd_dispatch.h: compiled-in AND cpuid) first, so a binary built
 // here runs correctly on a CPU without AVX2.
 //
 // When the toolchain cannot target AVX2 at all (non-x86, or a compiler
-// without -mavx2), the #else branch keeps the symbols defined:
-// QuantizedAvx2CompiledIn() reports false and the Avx2 entry point degrades
-// to the portable kernel, which dispatch never selects anyway.
+// without -mavx2), the #else branch keeps the symbol defined: the Avx2
+// entry point degrades to the portable kernel, which dispatch never selects
+// anyway.
 
 #include "retrieval/kernels.h"
 
@@ -19,8 +19,6 @@
 #include <algorithm>
 
 namespace neutraj::retrieval::internal {
-
-bool QuantizedAvx2CompiledIn() { return true; }
 
 namespace {
 
@@ -84,12 +82,10 @@ bool BlockCodeSquaredL2Avx2(const int8_t* block, const int32_t* q_pairs,
 
 namespace neutraj::retrieval::internal {
 
-bool QuantizedAvx2CompiledIn() { return false; }
-
 bool BlockCodeSquaredL2Avx2(const int8_t* block, const int32_t* q_pairs,
                             const int32_t* w_pairs, size_t pairs,
                             int64_t limit, int64_t* sums) {
-  // Unreachable through dispatch (QuantizedAvx2Available() is false); kept
+  // Unreachable through dispatch (Avx2Available() is false); kept
   // defined so the symbol exists on every platform.
   return BlockCodeSquaredL2Portable(block, q_pairs, w_pairs, pairs, limit,
                                     sums);

@@ -133,10 +133,13 @@ void CodeBlocks::Append(const Int8Quantizer& quantizer, const nn::Vector& row) {
     blocks_.resize(blocks_.size() + block_bytes_);
     block_errors_.push_back(0.0);
   }
-  std::vector<int8_t> code(quantizer.dim() + 1);
+  // Reused across appends (they run under their owners' writer locks):
+  // bytes below dim are rewritten by every encode, and the pad byte at dim
+  // stays zero.
+  if (code_.size() != quantizer.dim() + 1) code_.assign(quantizer.dim() + 1, 0);
   errors_.push_back(EncodeRow(quantizer, row.data(), i % kCodeBlockRows,
                               blocks_.data() + blocks_.size() - block_bytes_,
-                              &code));
+                              &code_));
   block_errors_.back() = std::max(block_errors_.back(), errors_.back());
 }
 

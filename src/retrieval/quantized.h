@@ -126,6 +126,7 @@ class CodeBlocks {
   std::vector<int8_t> blocks_;
   std::vector<double> errors_;
   std::vector<double> block_errors_;
+  std::vector<int8_t> code_;  ///< Append's encode scratch, dim + 1 bytes.
 };
 
 /// Rows named by their corpus ids with their codes, in the same order: one

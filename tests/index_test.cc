@@ -10,7 +10,6 @@
 #include "index/frechet_lsh.h"
 #include "index/inverted_grid.h"
 #include "index/rtree.h"
-#include "index/vp_tree.h"
 #include "test_util.h"
 
 namespace neutraj {
@@ -162,77 +161,6 @@ TEST(InvertedGridTest, ExpansionWidensCandidates) {
   // narrow subset of wide.
   EXPECT_TRUE(
       std::includes(wide.begin(), wide.end(), narrow.begin(), narrow.end()));
-}
-
-std::vector<nn::Vector> RandomEmbeddings(size_t n, size_t d, Rng* rng) {
-  std::vector<nn::Vector> out(n, nn::Vector(d));
-  for (auto& v : out) {
-    for (double& x : v) x = rng->Gaussian(0, 1);
-  }
-  return out;
-}
-
-class VpTreeSizeTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(VpTreeSizeTest, TopKMatchesLinearScan) {
-  Rng rng(201 + GetParam());
-  const auto points = RandomEmbeddings(GetParam(), 8, &rng);
-  const VpTree tree(points);
-  EXPECT_EQ(tree.size(), points.size());
-  for (int rep = 0; rep < 15; ++rep) {
-    nn::Vector query(8);
-    for (double& x : query) x = rng.Gaussian(0, 1.2);
-    for (size_t k : {1u, 5u, 10u}) {
-      const SearchResult expected = EmbeddingTopK(points, query, k);
-      const SearchResult got = tree.TopK(query, k);
-      EXPECT_EQ(got.ids, expected.ids) << "k=" << k;
-      for (size_t i = 0; i < got.dists.size(); ++i) {
-        EXPECT_NEAR(got.dists[i], expected.dists[i], 1e-12);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(VariousSizes, VpTreeSizeTest,
-                         ::testing::Values(1, 2, 7, 50, 300),
-                         [](const auto& param_info) {
-                           return "n" + std::to_string(param_info.param);
-                         });
-
-TEST(VpTreeTest, ExcludeRemovesQueryItself) {
-  Rng rng(202);
-  const auto points = RandomEmbeddings(40, 6, &rng);
-  const VpTree tree(points);
-  const SearchResult r = tree.TopK(points[7], 5, /*exclude=*/7);
-  for (size_t id : r.ids) EXPECT_NE(id, 7u);
-  EXPECT_EQ(r.ids, EmbeddingTopK(points, points[7], 5, 7).ids);
-}
-
-TEST(VpTreeTest, PrunesComparedToLinearScan) {
-  Rng rng(203);
-  // Low-dimensional embeddings prune well; this is the sub-linear payoff.
-  const auto points = RandomEmbeddings(4000, 4, &rng);
-  const VpTree tree(points);
-  nn::Vector query(4);
-  for (double& x : query) x = rng.Gaussian(0, 1);
-  const SearchResult r = tree.TopK(query, 10);
-  ASSERT_EQ(r.ids.size(), 10u);
-  EXPECT_LT(tree.last_visit_count(), points.size() / 2)
-      << "VP-tree should visit far fewer points than a flat scan";
-}
-
-TEST(VpTreeTest, EmptyAndDegenerate) {
-  const VpTree empty((std::vector<nn::Vector>()));
-  EXPECT_TRUE(empty.empty());
-  nn::Vector q = {0.0};
-  EXPECT_TRUE(empty.TopK(q, 3).ids.empty());
-
-  // Duplicate points: all must be retrievable.
-  std::vector<nn::Vector> dupes(5, nn::Vector{1.0, 2.0});
-  const VpTree tree(dupes);
-  const SearchResult r = tree.TopK(nn::Vector{1.0, 2.0}, 5);
-  EXPECT_EQ(r.ids.size(), 5u);
-  for (double d : r.dists) EXPECT_DOUBLE_EQ(d, 0.0);
 }
 
 TEST(InvertedGridTest, CellPostingsAreSortedUnique) {

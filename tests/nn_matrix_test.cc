@@ -144,10 +144,11 @@ TEST(SoftmaxTest, StableUnderLargeInputs) {
   EXPECT_TRUE(empty.empty());
 }
 
-// The blocked kernels (4-row / 4-column blocking with independent
-// accumulators) must agree with the textbook triple loop on every shape,
-// including the 1..3-row remainders the blocked path peels off, and must be
-// deterministic run to run.
+// The kernels' fixed accumulation orders (nn/kernels.h): MatVecAccum sums
+// each row in four column lanes, MatTVecAccum takes rows four at a time.
+// They must agree with the textbook double loop to 1e-12 on every shape,
+// including the remainders of the 4-wide lanes and row blocks, follow their
+// documented order bit for bit, and be deterministic run to run.
 class BlockedKernelTest
     : public ::testing::TestWithParam<std::pair<size_t, size_t>> {
  protected:
@@ -179,9 +180,20 @@ TEST_P(BlockedKernelTest, MatVecAccumMatchesReference) {
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < cols; ++c) expect[r] += a(r, c) * x[c];
   }
+  // The documented order: lane l sums columns c ≡ l (mod 4) of the whole
+  // 4-column chunks, tail columns go to lane 0, then (l0 + l1) + (l2 + l3).
+  Vector ordered = y;
+  for (size_t r = 0; r < rows; ++r) {
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    const size_t whole = cols / 4 * 4;
+    for (size_t c = 0; c < whole; ++c) lane[c % 4] += a(r, c) * x[c];
+    for (size_t c = whole; c < cols; ++c) lane[0] += a(r, c) * x[c];
+    ordered[r] += (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  }
   MatVecAccum(a, x, &y);
   for (size_t r = 0; r < rows; ++r) {
     EXPECT_NEAR(y[r], expect[r], 1e-12) << "row " << r;
+    EXPECT_EQ(y[r], ordered[r]) << "row " << r;
   }
   // Determinism: a second run produces bit-identical output.
   Vector y2 = FillVector(rows, 200);
@@ -240,8 +252,8 @@ TEST_P(BlockedKernelTest, ZeroInputsAreSkippedWithoutEffect) {
   }
 }
 
-// Shapes straddle every remainder class of the 4-wide blocking: 1..5 rows
-// and cols, plus realistic gate sizes (4d x d with d = 12 and 13).
+// Shapes straddle every remainder class of the 4-wide lanes and row blocks:
+// 1..5 rows and cols, plus realistic gate sizes (4d x d with d = 12 and 13).
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BlockedKernelTest,
     ::testing::Values(std::make_pair<size_t, size_t>(1, 1),

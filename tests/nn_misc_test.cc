@@ -9,10 +9,12 @@
 #include "common/random.h"
 #include "nn/adam.h"
 #include "nn/encoder.h"
+#include "nn/gru_cell.h"
 #include "nn/init.h"
 #include "nn/lstm_cell.h"
 #include "nn/memory_tensor.h"
 #include "nn/parameter.h"
+#include "nn/sam_cell.h"
 #include "test_util.h"
 
 namespace neutraj::nn {
@@ -255,6 +257,108 @@ TEST(LstmCellTest, ForwardShapesAndGateRanges) {
     EXPECT_LE(std::abs(tape.g[k]), 1.0);
     EXPECT_LE(std::abs(h[k]), 1.0) << "h = o*tanh(c) is bounded by 1";
   }
+}
+
+// A scan window none of whose cells was ever written (every step of a
+// random-init model at inference) reduces the SAM step to its plain form:
+// h, c, the tape fields backward reads and backward's gradients are those of
+// the same step with use_memory = false, the attention weights and mix are
+// zero, and the window is neither copied into the tape nor scored.
+struct AllMaskedStep {
+  Grid grid = TestGrid();
+  MemoryTensor memory{grid.num_cols(), grid.num_rows(), 8};
+  GridCell center{2, 2};
+  std::vector<GridCell> window = grid.ScanWindow(center, 1);
+  Vector x = {0.3, -0.2};
+  Vector h_prev, c_prev, dh, dc;
+
+  AllMaskedStep() {
+    Rng rng(61);
+    for (Vector* v : {&h_prev, &c_prev, &dh, &dc}) {
+      v->resize(8);
+      for (double& e : *v) e = rng.Gaussian(0.0, 0.5);
+    }
+    // A written cell outside the window: the memory is not empty.
+    memory.BlendWrite(GridCell{9, 9}, Vector(8, 0.5), Vector(8, 0.25));
+  }
+};
+
+void ExpectSameGrads(const GradBuffer& a, const GradBuffer& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.at(i).values(), b.at(i).values()) << "param " << i;
+  }
+}
+
+TEST(SamCellTest, AllMaskedWindowIsThePlainStep) {
+  AllMaskedStep step;
+  Rng rng(62);
+  SamLstmCell cell("s", 2, 8);
+  cell.Initialize(&rng);
+  SamTape masked, plain;
+  masked.att.g = Matrix(1, 1);
+  masked.att.g(0, 0) = 42.0;  // Must survive: the window copy is skipped.
+  Vector h1, c1, h2, c2;
+  cell.Forward(step.x, step.h_prev, step.c_prev, step.window, step.center,
+               &step.memory, /*use_memory=*/true, /*update_memory=*/true,
+               &masked, &h1, &c1);
+  cell.Forward(step.x, step.h_prev, step.c_prev, step.window, step.center,
+               &step.memory, /*use_memory=*/false, /*update_memory=*/false,
+               &plain, &h2, &c2);
+  EXPECT_EQ(h1, h2);
+  EXPECT_EQ(c1, c2);
+  EXPECT_FALSE(masked.used_memory);
+  EXPECT_TRUE(masked.att.all_masked);
+  EXPECT_EQ(masked.att.a, Vector(step.window.size(), 0.0));
+  EXPECT_EQ(masked.att.mix, Vector(8, 0.0));
+  EXPECT_EQ(masked.att.g.values(), Vector{42.0});
+  for (const auto field : {&SamTape::f, &SamTape::i, &SamTape::s, &SamTape::o,
+                           &SamTape::c_tilde, &SamTape::c_hat, &SamTape::c,
+                           &SamTape::tanh_c}) {
+    EXPECT_EQ(masked.*field, plain.*field);
+  }
+  // The write still lands: M(center) = s (*) c + (1 - s) (*) 0.
+  const double* slot = step.memory.Slice(step.center);
+  for (size_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(slot[k], masked.s[k] * c1[k] + (1.0 - masked.s[k]) * 0.0);
+  }
+
+  GradBuffer g1(cell.Params()), g2(cell.Params());
+  Vector dh1(8, 0.0), dc1(8, 0.0), dx1(2, 0.0);
+  Vector dh2(8, 0.0), dc2(8, 0.0), dx2(2, 0.0);
+  cell.Backward(masked, step.dh, step.dc, &dh1, &dc1, &dx1, &g1);
+  cell.Backward(plain, step.dh, step.dc, &dh2, &dc2, &dx2, &g2);
+  EXPECT_EQ(dh1, dh2);
+  EXPECT_EQ(dc1, dc2);
+  EXPECT_EQ(dx1, dx2);
+  ExpectSameGrads(g1, g2);
+}
+
+TEST(GruCellTest, AllMaskedWindowIsThePlainStep) {
+  AllMaskedStep step;
+  Rng rng(63);
+  SamGruCell cell("g", 2, 8);
+  cell.Initialize(&rng);
+  GruTape masked, plain;
+  Vector h1, h2;
+  cell.Forward(step.x, step.h_prev, step.window, step.center, &step.memory,
+               /*use_memory=*/true, /*update_memory=*/false, &masked, &h1);
+  cell.Forward(step.x, step.h_prev, step.window, step.center, &step.memory,
+               /*use_memory=*/false, /*update_memory=*/false, &plain, &h2);
+  EXPECT_EQ(h1, h2);
+  EXPECT_FALSE(masked.used_memory);
+  EXPECT_TRUE(masked.att.all_masked);
+  EXPECT_EQ(masked.att.a, Vector(step.window.size(), 0.0));
+  EXPECT_EQ(masked.att.mix, Vector(8, 0.0));
+  EXPECT_EQ(masked.n_prime, plain.n_prime);
+
+  GradBuffer g1(cell.Params()), g2(cell.Params());
+  Vector dh1(8, 0.0), dx1(2, 0.0), dh2(8, 0.0), dx2(2, 0.0);
+  cell.Backward(masked, step.dh, &dh1, &dx1, &g1);
+  cell.Backward(plain, step.dh, &dh2, &dx2, &g2);
+  EXPECT_EQ(dh1, dh2);
+  EXPECT_EQ(dx1, dx2);
+  ExpectSameGrads(g1, g2);
 }
 
 TEST(LstmCellTest, ForgetBiasInitializedToOne) {

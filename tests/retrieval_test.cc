@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd_dispatch.h"
 #include "core/embedding_db.h"
 #include "core/search.h"
 #include "nn/matrix.h"
@@ -119,7 +120,7 @@ TEST(KernelsTest, ForcedPortableAndAvx2DispatchAreBitIdentical) {
   // agree with the portable reference on every sum at every dim — including
   // an odd dim's padded pair — so the kernel choice can never change which
   // rows get their exact distance. Forcing each implementation through
-  // SetQuantizedKernel runs both on one machine; on a CPU without AVX2 only
+  // SetSimdKernel runs both on one machine; on a CPU without AVX2 only
   // the portable/auto agreement is pinned.
   Rng rng(13);
   const int64_t all = std::numeric_limits<int64_t>::max();
@@ -131,24 +132,23 @@ TEST(KernelsTest, ForcedPortableAndAvx2DispatchAreBitIdentical) {
                                 b.w_pairs.data(), b.q_pairs.size(), all, out);
     };
 
-    SetQuantizedKernel(QuantizedKernel::kPortable);
+    SetSimdKernel(SimdKernel::kPortable);
     EXPECT_EQ(std::string(QuantizedKernelName()), "portable");
     ASSERT_TRUE(run(portable));
     EXPECT_TRUE(std::equal(portable, portable + kCodeBlockRows, b.sums))
         << "dim " << dim;
 
-    if (internal::QuantizedAvx2Available()) {
-      SetQuantizedKernel(QuantizedKernel::kAvx2);
+    if (Avx2Available()) {
+      SetSimdKernel(SimdKernel::kAvx2);
       EXPECT_EQ(std::string(QuantizedKernelName()), "avx2");
       ASSERT_TRUE(run(sums));
       EXPECT_TRUE(std::equal(sums, sums + kCodeBlockRows, portable))
           << "dim " << dim;
     } else {
-      EXPECT_THROW(SetQuantizedKernel(QuantizedKernel::kAvx2),
-                   std::runtime_error);
+      EXPECT_THROW(SetSimdKernel(SimdKernel::kAvx2), std::runtime_error);
     }
 
-    SetQuantizedKernel(QuantizedKernel::kAuto);
+    SetSimdKernel(SimdKernel::kAuto);
     ASSERT_TRUE(run(sums));
     EXPECT_TRUE(std::equal(sums, sums + kCodeBlockRows, portable))
         << "dim " << dim;
@@ -192,7 +192,7 @@ TEST(KernelsTest, BlockKernelsMatchTheNaiveSumsAndExitAlike) {
         if (go_on) {
           EXPECT_TRUE(std::equal(portable, portable + kCodeBlockRows, b.sums));
         }
-        if (!internal::QuantizedAvx2Available()) continue;
+        if (!Avx2Available()) continue;
         EXPECT_EQ(internal::BlockCodeSquaredL2Avx2(
                       b.block.data(), b.q_pairs.data(), b.w_pairs.data(),
                       b.q_pairs.size(), limit, avx2),
@@ -224,7 +224,7 @@ TEST(KernelsTest, BlockKernelsExitAtTheHalfAlike) {
     const int64_t first_half = static_cast<int64_t>(half_dims) * 100 * 100;
     int64_t sums[kCodeBlockRows];
     for (const bool avx2 : {false, true}) {
-      if (avx2 && !internal::QuantizedAvx2Available()) continue;
+      if (avx2 && !Avx2Available()) continue;
       const auto kernel = avx2 ? &internal::BlockCodeSquaredL2Avx2
                                : &internal::BlockCodeSquaredL2Portable;
       EXPECT_FALSE(kernel(block.data(), q_pairs.data(), w_pairs.data(),
@@ -242,19 +242,19 @@ TEST(KernelsTest, ForcedBlockDispatchPicksEachKernel) {
   Rng rng(15);
   const RandomBlock b = MakeBlock(32, &rng);
   int64_t sums[kCodeBlockRows];
-  SetQuantizedKernel(QuantizedKernel::kPortable);
+  SetSimdKernel(SimdKernel::kPortable);
   ASSERT_TRUE(BlockCodeSquaredL2(b.block.data(), b.q_pairs.data(),
                                  b.w_pairs.data(), b.q_pairs.size(),
                                  std::numeric_limits<int64_t>::max(), sums));
   EXPECT_TRUE(std::equal(sums, sums + kCodeBlockRows, b.sums));
-  if (internal::QuantizedAvx2Available()) {
-    SetQuantizedKernel(QuantizedKernel::kAvx2);
+  if (Avx2Available()) {
+    SetSimdKernel(SimdKernel::kAvx2);
     ASSERT_TRUE(BlockCodeSquaredL2(b.block.data(), b.q_pairs.data(),
                                    b.w_pairs.data(), b.q_pairs.size(),
                                    std::numeric_limits<int64_t>::max(), sums));
     EXPECT_TRUE(std::equal(sums, sums + kCodeBlockRows, b.sums));
   }
-  SetQuantizedKernel(QuantizedKernel::kAuto);
+  SetSimdKernel(SimdKernel::kAuto);
 }
 
 TEST(KernelsTest, QuantizeRowRoundsHalfAwayFromZeroLikeLround) {
@@ -293,18 +293,18 @@ TEST(KernelsTest, BoundedTopKIsIdenticalUnderEitherKernel) {
   const std::vector<nn::Vector> queries = GaussianRows(20, 17, 24);
   for (const nn::Vector& q : queries) {
     const SearchResult want = EmbeddingTopK(rows, q, 10);
-    SetQuantizedKernel(QuantizedKernel::kPortable);
+    SetSimdKernel(SimdKernel::kPortable);
     const SearchResult portable = db.TopK(q, 10);
     EXPECT_EQ(portable.ids, want.ids);
     EXPECT_EQ(portable.dists, want.dists);
-    if (internal::QuantizedAvx2Available()) {
-      SetQuantizedKernel(QuantizedKernel::kAvx2);
+    if (Avx2Available()) {
+      SetSimdKernel(SimdKernel::kAvx2);
       const SearchResult avx2 = db.TopK(q, 10);
       EXPECT_EQ(avx2.ids, want.ids);
       EXPECT_EQ(avx2.dists, want.dists);
     }
   }
-  SetQuantizedKernel(QuantizedKernel::kAuto);
+  SetSimdKernel(SimdKernel::kAuto);
 }
 
 // ---------------------------------------------------------------------------

@@ -59,6 +59,11 @@
 #      than 84 characters (.clang-format's ColumnLimit), counted as UTF-8
 #      characters with python3, so hosts without clang-format catch the
 #      lines tools/format_check.sh would reject.
+#  12. No std::exp / std::tanh (or the C exp/tanh/expm1) in src/nn/ outside
+#      the kernel TUs nn/matrix.cc and nn/kernels_avx2.cc: every activation
+#      goes through ExpInto / SigmoidInto / TanhInto / SoftmaxInPlace, whose
+#      portable and AVX2 forms agree bit for bit. A stray libm call is a
+#      second activation numerics that the forced-kernel tests cannot see.
 #
 # Usage: tools/lint.sh   (from anywhere; exits non-zero on any violation)
 
@@ -207,6 +212,17 @@ PY
 )
 if [[ -n "$hits" ]]; then
   report "lines over .clang-format's 84-column limit" "$hits"
+fi
+
+# -- Rule 12: one activation numerics in src/nn ---------------------------------
+# Comments are stripped first, so prose such as "tanh(c)" does not count.
+hits=$(grep -rnE '(std::|\b)(exp|expm1|tanh)\(' \
+    src/nn/ --include='*.cc' --include='*.h' \
+    | grep -vE '^src/nn/(matrix|kernels_avx2)\.cc:' \
+    | sed -E 's://.*$::' \
+    | grep -E '^[^:]*:[0-9]+:.*(std::|\b)(exp|expm1|tanh)\(' || true)
+if [[ -n "$hits" ]]; then
+  report "exp/tanh in src/nn outside nn/matrix.cc, nn/kernels_avx2.cc" "$hits"
 fi
 
 if [[ "$fail" -ne 0 ]]; then
